@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/strings.h"
 
@@ -15,14 +14,13 @@ int CsvTable::ColumnIndex(std::string_view name) const {
   return -1;
 }
 
-Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
+Result<CsvTable> ParseCsv(std::string_view text) {
   CsvTable table;
   size_t pos = 0;
   int line_number = 0;
-  int skipped_preamble = 0;
   size_t expected_fields = 0;
   bool saw_first_data_row = false;
-  bool header_pending = options.has_header;
+  bool header_pending = true;
 
   while (pos <= text.size()) {
     size_t eol = text.find('\n', pos);
@@ -32,13 +30,9 @@ Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
     pos = (eol == std::string_view::npos) ? text.size() + 1 : eol + 1;
     ++line_number;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (skipped_preamble < options.skip_lines) {
-      ++skipped_preamble;
-      continue;
-    }
     if (StripWhitespace(line).empty()) continue;
 
-    std::vector<std::string_view> fields = SplitString(line, options.delimiter);
+    std::vector<std::string_view> fields = SplitString(line, ',');
     if (header_pending) {
       header_pending = false;
       for (std::string_view f : fields) {
@@ -49,13 +43,12 @@ Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
     if (!saw_first_data_row) {
       saw_first_data_row = true;
       expected_fields = fields.size();
-      if (!table.header.empty() && table.header.size() != expected_fields) {
+      if (table.header.size() != expected_fields) {
         return Status::ParseError(StrPrintf(
             "line %d: %zu fields but header has %zu columns", line_number,
             expected_fields, table.header.size()));
       }
     } else if (fields.size() != expected_fields) {
-      if (options.skip_malformed_rows) continue;
       return Status::ParseError(
           StrPrintf("line %d: expected %zu fields, got %zu", line_number,
                     expected_fields, fields.size()));
@@ -70,10 +63,9 @@ Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options) {
   return table;
 }
 
-Result<CsvTable> ReadCsvFile(const std::string& path,
-                             const CsvOptions& options) {
+Result<CsvTable> ReadCsvFile(const std::string& path) {
   TRAJKIT_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return ParseCsv(content, options);
+  return ParseCsv(content);
 }
 
 std::string WriteCsv(const CsvTable& table, char delimiter) {
@@ -100,12 +92,24 @@ Result<std::string> ReadFileToString(const std::string& path) {
   if (!in) {
     return Status::IoError("cannot open file for reading: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  // One read of the file's size straight into the result, then a drain
+  // loop for anything the size did not cover (a file that grew, a pipe).
+  std::string content;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size > 0) {
+    content.resize(static_cast<size_t>(size));
+    in.read(content.data(), static_cast<std::streamsize>(size));
+    content.resize(static_cast<size_t>(in.gcount()));
+  }
+  char chunk[4096];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    content.append(chunk, static_cast<size_t>(in.gcount()));
+  }
   if (in.bad()) {
     return Status::IoError("read failure on: " + path);
   }
-  return buffer.str();
+  return content;
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view content) {

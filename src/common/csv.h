@@ -10,7 +10,7 @@
 
 namespace trajkit {
 
-/// A parsed delimiter-separated file: optional header row plus data rows.
+/// A parsed delimiter-separated file: a header row plus data rows.
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
@@ -19,26 +19,15 @@ struct CsvTable {
   int ColumnIndex(std::string_view name) const;
 };
 
-/// Options controlling CSV parsing.
-struct CsvOptions {
-  char delimiter = ',';
-  bool has_header = true;
-  /// Skip this many lines before parsing (GeoLife PLT files carry 6
-  /// preamble lines).
-  int skip_lines = 0;
-  /// Drop rows whose field count differs from the first data row instead of
-  /// failing the parse.
-  bool skip_malformed_rows = false;
-};
-
-/// Parses CSV text already in memory. Fields are not quote-aware (none of
-/// the formats this library reads use quoting); values are whitespace-
-/// stripped.
-Result<CsvTable> ParseCsv(std::string_view text, const CsvOptions& options);
+/// Parses comma-separated text already in memory: the first non-blank line
+/// is the header, and every data row must have as many fields. Fields are
+/// not quote-aware (none of the formats this library reads use quoting);
+/// values are whitespace-stripped. CRLF line ends and blank lines are
+/// accepted.
+Result<CsvTable> ParseCsv(std::string_view text);
 
 /// Reads and parses a CSV file from disk.
-Result<CsvTable> ReadCsvFile(const std::string& path,
-                             const CsvOptions& options);
+Result<CsvTable> ReadCsvFile(const std::string& path);
 
 /// Serializes a table (header + rows) to CSV text.
 std::string WriteCsv(const CsvTable& table, char delimiter = ',');

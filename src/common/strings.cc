@@ -2,9 +2,13 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 
 namespace trajkit {
@@ -24,17 +28,21 @@ std::vector<std::string_view> SplitString(std::string_view text, char sep) {
   return out;
 }
 
+namespace {
+
+// std::isspace in the "C" locale (the library never sets another), without
+// the per-character locale lookup.
+bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+}  // namespace
+
 std::string_view StripWhitespace(std::string_view text) {
   size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsAsciiSpace(text[begin])) ++begin;
   size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
@@ -56,32 +64,74 @@ std::string ToLowerAscii(std::string_view text) {
   return out;
 }
 
+namespace {
+
+// Copies `text` NUL-terminated into `stack` when it fits, else into `heap`,
+// so the strto* fallbacks below allocate only for very long fields.
+constexpr size_t kStackField = 128;
+const char* CString(std::string_view text, char (&stack)[kStackField],
+                    std::string& heap) {
+  if (text.size() < kStackField) {
+    std::memcpy(stack, text.data(), text.size());
+    stack[text.size()] = '\0';
+    return stack;
+  }
+  heap.assign(text);
+  return heap.c_str();
+}
+
+}  // namespace
+
+// Both parsers accept exactly what strtod/strtoll accept on the whole
+// stripped field. std::from_chars takes the common case without copying;
+// whatever it rejects, and any double result strtod might flag with ERANGE
+// (zero, subnormal, the smallest normal, inf/nan), goes to strto* as before,
+// so a leading '+', hex, "inf" and out-of-range input behave as they did.
 Result<double> ParseDouble(std::string_view text) {
-  std::string_view stripped = StripWhitespace(text);
+  const std::string_view stripped = StripWhitespace(text);
   if (stripped.empty()) {
     return Status::ParseError("empty string is not a double");
   }
-  std::string buf(stripped);
+  const char* const last = stripped.data() + stripped.size();
+  double value = 0.0;
+  const std::from_chars_result fast =
+      std::from_chars(stripped.data(), last, value);
+  if (fast.ec == std::errc() && fast.ptr == last && std::isfinite(value) &&
+      std::fabs(value) > std::numeric_limits<double>::min()) {
+    return value;
+  }
+  char stack[kStackField];
+  std::string heap;
+  const char* const buf = CString(stripped, stack, heap);
   errno = 0;
   char* end = nullptr;
-  double value = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
-    return Status::ParseError("not a double: '" + buf + "'");
+  value = std::strtod(buf, &end);
+  if (end != buf + stripped.size() || errno == ERANGE) {
+    return Status::ParseError("not a double: '" + std::string(stripped) +
+                              "'");
   }
   return value;
 }
 
 Result<long long> ParseInt64(std::string_view text) {
-  std::string_view stripped = StripWhitespace(text);
+  const std::string_view stripped = StripWhitespace(text);
   if (stripped.empty()) {
     return Status::ParseError("empty string is not an integer");
   }
-  std::string buf(stripped);
+  const char* const last = stripped.data() + stripped.size();
+  long long value = 0;
+  const std::from_chars_result fast =
+      std::from_chars(stripped.data(), last, value);
+  if (fast.ec == std::errc() && fast.ptr == last) return value;
+  char stack[kStackField];
+  std::string heap;
+  const char* const buf = CString(stripped, stack, heap);
   errno = 0;
   char* end = nullptr;
-  long long value = std::strtoll(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
-    return Status::ParseError("not an integer: '" + buf + "'");
+  value = std::strtoll(buf, &end, 10);
+  if (end != buf + stripped.size() || errno == ERANGE) {
+    return Status::ParseError("not an integer: '" + std::string(stripped) +
+                              "'");
   }
   return value;
 }

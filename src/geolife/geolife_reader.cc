@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 
 #include "common/csv.h"
@@ -25,66 +26,154 @@ int64_t DaysFromCivil(int year, int month, int day) {
   return era * 146097 + static_cast<int64_t>(doe) - 719468;
 }
 
-Result<int> ParseIntField(std::string_view text) {
-  TRAJKIT_ASSIGN_OR_RETURN(long long v, ParseInt64(text));
-  return static_cast<int>(v);
+int DaysInMonth(int64_t year, int64_t month) {
+  static constexpr int kDays[12] = {31, 28, 31, 30, 31, 30,
+                                    31, 31, 30, 31, 30, 31};
+  const bool leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
+  return month == 2 && leap ? 29 : kDays[month - 1];
+}
+
+// The fixed layout every GeoLife file uses, "dddd/dd/dd" (or with '-')
+// and "dd:dd:dd", read straight from the digits. Any other spelling returns
+// false and takes the general path, which reads this layout to the same six
+// numbers.
+bool ParseFixedLayout(std::string_view date, std::string_view time,
+                      int64_t out[6]) {
+  auto digits = [](std::string_view text, size_t at, size_t n, int64_t* v) {
+    *v = 0;
+    for (size_t i = at; i < at + n; ++i) {
+      if (text[i] < '0' || text[i] > '9') return false;
+      *v = *v * 10 + (text[i] - '0');
+    }
+    return true;
+  };
+  return date.size() == 10 && time.size() == 8 && date[4] == date[7] &&
+         (date[4] == '/' || date[4] == '-') && time[2] == ':' &&
+         time[5] == ':' && digits(date, 0, 4, &out[0]) &&
+         digits(date, 5, 2, &out[1]) && digits(date, 8, 2, &out[2]) &&
+         digits(time, 0, 2, &out[3]) && digits(time, 3, 2, &out[4]) &&
+         digits(time, 6, 2, &out[5]);
+}
+
+// Calls `on_line` with every line of `text` after its first `skip_lines`,
+// skipping blank lines. A CRLF line end needs no handling of its own: the
+// '\r' is whitespace and goes with the last field's stripping.
+template <typename OnLine>
+void ForEachLine(std::string_view text, int skip_lines, OnLine on_line) {
+  size_t pos = 0;
+  int line_number = 0;
+  while (pos <= text.size()) {
+    const size_t eol = text.find('\n', pos);
+    std::string_view line = (eol == std::string_view::npos)
+                                ? text.substr(pos)
+                                : text.substr(pos, eol - pos);
+    pos = (eol == std::string_view::npos) ? text.size() + 1 : eol + 1;
+    ++line_number;
+    if (line_number <= skip_lines || StripWhitespace(line).empty()) continue;
+    if (!on_line(line, line_number)) return;
+  }
+}
+
+// Splits `line` on `sep`, keeping the first N whitespace-stripped fields
+// in `fields`; returns the total field count.
+template <size_t N>
+size_t ScanFields(std::string_view line, char sep,
+                  std::string_view (&fields)[N]) {
+  size_t count = 0;
+  size_t start = 0;
+  while (true) {
+    const size_t end = line.find(sep, start);
+    if (count < N) {
+      fields[count] = StripWhitespace(line.substr(
+          start, end == std::string_view::npos ? end : end - start));
+    }
+    ++count;
+    if (end == std::string_view::npos) return count;
+    start = end + 1;
+  }
+}
+
+// Time-orders `points` stably. Input already in order, the common case, is
+// left as it is, which is what the stable sort would do with it.
+void SortByTimestamp(std::vector<traj::TrajectoryPoint>& points) {
+  const auto by_timestamp = [](const traj::TrajectoryPoint& a,
+                               const traj::TrajectoryPoint& b) {
+    return a.timestamp < b.timestamp;
+  };
+  if (!std::is_sorted(points.begin(), points.end(), by_timestamp)) {
+    std::stable_sort(points.begin(), points.end(), by_timestamp);
+  }
+}
+
+// Appends the valid rows of one PLT file to `points`, in file order. The
+// row rules: a 6-line preamble; the first data row fixes the field count
+// and rows with another count are dropped; rows with fewer than 7 fields,
+// unparseable or invalid coordinates, or a bad datetime are skipped.
+void AppendPltPoints(std::string_view text,
+                     std::vector<traj::TrajectoryPoint>& points) {
+  size_t expected_fields = 0;
+  ForEachLine(text, 6, [&](std::string_view line, int) {
+    std::string_view row[7];
+    const size_t fields = ScanFields(line, ',', row);
+    if (expected_fields == 0) expected_fields = fields;
+    if (fields != expected_fields || fields < 7) return true;
+    const Result<double> lat = ParseDouble(row[0]);
+    const Result<double> lon = ParseDouble(row[1]);
+    if (!lat.ok() || !lon.ok()) return true;
+    traj::TrajectoryPoint point;
+    point.pos = geo::LatLon{lat.value(), lon.value()};
+    if (!geo::IsValid(point.pos)) return true;
+    const Result<double> timestamp = ParseGeoLifeDateTime(row[5], row[6]);
+    if (!timestamp.ok()) return true;
+    point.timestamp = timestamp.value();
+    points.push_back(point);
+    return true;
+  });
 }
 
 }  // namespace
 
 Result<double> ParseGeoLifeDateTime(std::string_view date,
                                     std::string_view time) {
-  char date_sep = '/';
-  if (date.find('-') != std::string_view::npos) date_sep = '-';
-  const std::vector<std::string_view> d = SplitString(date, date_sep);
-  const std::vector<std::string_view> t = SplitString(time, ':');
-  if (d.size() != 3 || t.size() != 3) {
-    return Status::ParseError("bad GeoLife datetime: '" + std::string(date) +
-                              " " + std::string(time) + "'");
+  int64_t c[6] = {0, 0, 0, 0, 0, 0};
+  if (!ParseFixedLayout(date, time, c)) {
+    // General path: each component as strtoll reads it (padding, a sign),
+    // range-checked below at full width rather than after an int cast.
+    const char date_sep =
+        date.find('-') != std::string_view::npos ? '-' : '/';
+    std::string_view d[3];
+    std::string_view t[3];
+    if (ScanFields(date, date_sep, d) != 3 || ScanFields(time, ':', t) != 3) {
+      return Status::ParseError("bad GeoLife datetime: '" +
+                                std::string(date) + " " + std::string(time) +
+                                "'");
+    }
+    const std::string_view parts[6] = {d[0], d[1], d[2], t[0], t[1], t[2]};
+    for (int i = 0; i < 6; ++i) {
+      TRAJKIT_ASSIGN_OR_RETURN(c[i], ParseInt64(parts[i]));
+    }
   }
-  TRAJKIT_ASSIGN_OR_RETURN(int year, ParseIntField(d[0]));
-  TRAJKIT_ASSIGN_OR_RETURN(int month, ParseIntField(d[1]));
-  TRAJKIT_ASSIGN_OR_RETURN(int day, ParseIntField(d[2]));
-  TRAJKIT_ASSIGN_OR_RETURN(int hour, ParseIntField(t[0]));
-  TRAJKIT_ASSIGN_OR_RETURN(int minute, ParseIntField(t[1]));
-  TRAJKIT_ASSIGN_OR_RETURN(int second, ParseIntField(t[2]));
-  if (month < 1 || month > 12 || day < 1 || day > 31 || hour < 0 ||
-      hour > 23 || minute < 0 || minute > 59 || second < 0 || second > 60) {
+  const auto [year, month, day, hour, minute, second] = c;
+  if (year < 1 || year > 9999 || month < 1 || month > 12 || day < 1 ||
+      day > DaysInMonth(year, month) || hour < 0 || hour > 23 || minute < 0 ||
+      minute > 59 || second < 0 || second > 60) {
     return Status::ParseError("out-of-range GeoLife datetime: '" +
                               std::string(date) + " " + std::string(time) +
                               "'");
   }
-  return static_cast<double>(DaysFromCivil(year, month, day)) * 86400.0 +
-         hour * 3600.0 + minute * 60.0 + second;
+  return static_cast<double>(DaysFromCivil(static_cast<int>(year),
+                                           static_cast<int>(month),
+                                           static_cast<int>(day))) *
+             86400.0 +
+         static_cast<double>(hour) * 3600.0 +
+         static_cast<double>(minute) * 60.0 + static_cast<double>(second);
 }
 
 Result<std::vector<traj::TrajectoryPoint>> ParsePltText(
     std::string_view text) {
-  CsvOptions options;
-  options.has_header = false;
-  options.skip_lines = 6;
-  options.skip_malformed_rows = true;
-  TRAJKIT_ASSIGN_OR_RETURN(CsvTable table, ParseCsv(text, options));
   std::vector<traj::TrajectoryPoint> points;
-  points.reserve(table.rows.size());
-  for (const std::vector<std::string>& row : table.rows) {
-    if (row.size() < 7) continue;
-    const Result<double> lat = ParseDouble(row[0]);
-    const Result<double> lon = ParseDouble(row[1]);
-    if (!lat.ok() || !lon.ok()) continue;
-    traj::TrajectoryPoint point;
-    point.pos = geo::LatLon{lat.value(), lon.value()};
-    if (!geo::IsValid(point.pos)) continue;
-    const Result<double> timestamp = ParseGeoLifeDateTime(row[5], row[6]);
-    if (!timestamp.ok()) continue;
-    point.timestamp = timestamp.value();
-    points.push_back(point);
-  }
-  std::stable_sort(points.begin(), points.end(),
-                   [](const traj::TrajectoryPoint& a,
-                      const traj::TrajectoryPoint& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  AppendPltPoints(text, points);
+  SortByTimestamp(points);
   return points;
 }
 
@@ -95,27 +184,44 @@ Result<std::vector<traj::TrajectoryPoint>> ReadPltFile(
 }
 
 Result<std::vector<LabelInterval>> ParseLabelsText(std::string_view text) {
-  CsvOptions options;
-  options.delimiter = '\t';
-  options.has_header = true;
-  options.skip_malformed_rows = true;
-  TRAJKIT_ASSIGN_OR_RETURN(CsvTable table, ParseCsv(text, options));
   std::vector<LabelInterval> intervals;
-  intervals.reserve(table.rows.size());
-  for (const std::vector<std::string>& row : table.rows) {
-    if (row.size() < 3) continue;
+  size_t header_fields = 0;
+  size_t expected_fields = 0;
+  Status status;
+  ForEachLine(text, 0, [&](std::string_view line, int line_number) {
+    std::string_view row[3];
+    const size_t fields = ScanFields(line, '\t', row);
+    if (header_fields == 0) {
+      header_fields = fields;
+      return true;
+    }
+    if (expected_fields == 0) {
+      expected_fields = fields;
+      if (fields != header_fields) {
+        status = Status::ParseError(StrPrintf(
+            "line %d: %zu fields but header has %zu columns", line_number,
+            fields, header_fields));
+        return false;
+      }
+    }
+    if (fields != expected_fields || fields < 3) return true;
     // Fields: "yyyy/mm/dd hh:mm:ss" twice, then the mode.
-    const std::vector<std::string_view> start = SplitString(row[0], ' ');
-    const std::vector<std::string_view> end = SplitString(row[1], ' ');
-    if (start.size() != 2 || end.size() != 2) continue;
+    std::string_view start[2];
+    std::string_view end[2];
+    if (ScanFields(row[0], ' ', start) != 2 ||
+        ScanFields(row[1], ' ', end) != 2) {
+      return true;
+    }
     const Result<double> start_time =
         ParseGeoLifeDateTime(start[0], start[1]);
     const Result<double> end_time = ParseGeoLifeDateTime(end[0], end[1]);
     const Result<traj::Mode> mode = traj::ModeFromString(row[2]);
-    if (!start_time.ok() || !end_time.ok() || !mode.ok()) continue;
+    if (!start_time.ok() || !end_time.ok() || !mode.ok()) return true;
     intervals.push_back(
         {start_time.value(), end_time.value(), mode.value()});
-  }
+    return true;
+  });
+  if (!status.ok()) return status;
   return intervals;
 }
 
@@ -141,6 +247,28 @@ void ApplyLabels(std::vector<LabelInterval> intervals,
   }
 }
 
+namespace {
+
+// Lists the entries of `directory`, failing on any error the listing
+// reports instead of stopping short.
+Result<std::vector<std::filesystem::directory_entry>> ListDirectory(
+    const std::filesystem::path& directory) {
+  namespace fs = std::filesystem;
+  std::vector<fs::directory_entry> entries;
+  std::error_code ec;
+  for (fs::directory_iterator it(directory, ec);
+       !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    entries.push_back(*it);
+  }
+  if (ec) {
+    return Status::IoError("cannot list directory: " + directory.string() +
+                           ": " + ec.message());
+  }
+  return entries;
+}
+
+}  // namespace
+
 Result<traj::Trajectory> LoadGeoLifeUser(const std::string& user_directory,
                                          int user_id) {
   namespace fs = std::filesystem;
@@ -153,25 +281,23 @@ Result<traj::Trajectory> LoadGeoLifeUser(const std::string& user_directory,
     return Status::NotFound("no Trajectory directory under: " +
                             user_directory);
   }
+  TRAJKIT_ASSIGN_OR_RETURN(std::vector<fs::directory_entry> entries,
+                           ListDirectory(traj_dir));
   std::vector<fs::path> plt_files;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(traj_dir, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".plt") {
+  for (const fs::directory_entry& entry : entries) {
+    if (entry.is_regular_file(ec) && entry.path().extension() == ".plt") {
       plt_files.push_back(entry.path());
     }
   }
   std::sort(plt_files.begin(), plt_files.end());
+  // One stable sort of the concatenation gives the same order as sorting
+  // each file first: equal timestamps keep their file order either way.
   for (const fs::path& file : plt_files) {
-    TRAJKIT_ASSIGN_OR_RETURN(std::vector<traj::TrajectoryPoint> points,
-                             ReadPltFile(file.string()));
-    trajectory.points.insert(trajectory.points.end(), points.begin(),
-                             points.end());
+    TRAJKIT_ASSIGN_OR_RETURN(std::string content,
+                             ReadFileToString(file.string()));
+    AppendPltPoints(content, trajectory.points);
   }
-  std::stable_sort(trajectory.points.begin(), trajectory.points.end(),
-                   [](const traj::TrajectoryPoint& a,
-                      const traj::TrajectoryPoint& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  SortByTimestamp(trajectory.points);
 
   const fs::path labels_path = fs::path(user_directory) / "labels.txt";
   if (fs::is_regular_file(labels_path, ec)) {
@@ -191,16 +317,21 @@ Result<std::vector<traj::Trajectory>> LoadGeoLifeCorpus(
   if (!fs::is_directory(data_root, ec)) {
     return Status::NotFound("not a directory: " + data_root);
   }
+  TRAJKIT_ASSIGN_OR_RETURN(std::vector<fs::directory_entry> entries,
+                           ListDirectory(data_root));
   std::vector<fs::path> user_dirs;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(data_root, ec)) {
-    if (entry.is_directory()) user_dirs.push_back(entry.path());
+  for (const fs::directory_entry& entry : entries) {
+    if (entry.is_directory(ec)) user_dirs.push_back(entry.path());
   }
   std::sort(user_dirs.begin(), user_dirs.end());
   std::vector<traj::Trajectory> corpus;
   for (const fs::path& dir : user_dirs) {
     const Result<long long> uid = ParseInt64(dir.filename().string());
-    if (!uid.ok()) continue;  // Not a numbered user directory.
+    // Not a numbered user directory, or a number no user id can hold.
+    if (!uid.ok() || uid.value() < 0 ||
+        uid.value() > std::numeric_limits<int>::max()) {
+      continue;
+    }
     TRAJKIT_ASSIGN_OR_RETURN(
         traj::Trajectory trajectory,
         LoadGeoLifeUser(dir.string(), static_cast<int>(uid.value())));

@@ -18,7 +18,10 @@ struct LabelInterval {
 
 /// Parses one GeoLife .plt file (6 preamble lines, then
 /// "lat,lon,0,altitude_ft,days_since_1899,date,time" rows) into time-ordered
-/// unlabelled points. Rows with invalid coordinates are skipped.
+/// unlabelled points. Blank lines are ignored and a CRLF line end is
+/// accepted. The first data row fixes the field count; rows with another
+/// count, fewer than 7 fields, unparseable or invalid coordinates, or a bad
+/// datetime are skipped. Fields are whitespace-stripped.
 Result<std::vector<traj::TrajectoryPoint>> ParsePltText(
     std::string_view text);
 
@@ -28,6 +31,10 @@ Result<std::vector<traj::TrajectoryPoint>> ReadPltFile(
 
 /// Parses a GeoLife labels.txt ("Start Time\tEnd Time\tTransportation Mode"
 /// header plus tab-separated rows with "yyyy/mm/dd hh:mm:ss" timestamps).
+/// The line rules are ParsePltText's without the preamble: the first
+/// non-blank line is the header, and a first data row whose field count
+/// differs from it is a ParseError. Later rows with another count, fewer
+/// than 3 fields, a bad timestamp or an unknown mode are skipped.
 Result<std::vector<LabelInterval>> ParseLabelsText(std::string_view text);
 
 /// Assigns modes to points from labelled intervals: a point gets the mode
@@ -38,18 +45,23 @@ void ApplyLabels(std::vector<LabelInterval> intervals,
 
 /// Loads one user directory ("<root>/<user>/Trajectory/*.plt" plus optional
 /// "<root>/<user>/labels.txt") into a labelled Trajectory. Unlabelled users
-/// load with all points kUnknown.
+/// load with all points kUnknown. A Trajectory directory that cannot be
+/// listed is an IoError.
 Result<traj::Trajectory> LoadGeoLifeUser(const std::string& user_directory,
                                          int user_id);
 
 /// Loads every user directory under a GeoLife "Data" root. Directory names
-/// must parse as integers ("000", "001", ...); others are skipped.
+/// must parse as integers in [0, INT_MAX] ("000", "001", ...); others are
+/// skipped. A root that cannot be listed is an IoError.
 Result<std::vector<traj::Trajectory>> LoadGeoLifeCorpus(
     const std::string& data_root);
 
 /// Parses "yyyy/mm/dd hh:mm:ss" or "yyyy-mm-dd hh:mm:ss" (GeoLife uses
 /// both) into seconds since epoch, treating the wall time as UTC — a fixed
-/// offset that cancels in all derived features.
+/// offset that cancels in all derived features. Each component may carry
+/// surrounding whitespace and a sign. The year must lie in [1, 9999] and
+/// the day must exist in its month (Gregorian leap years); second 60 is
+/// accepted and counts into the next minute.
 Result<double> ParseGeoLifeDateTime(std::string_view date,
                                     std::string_view time);
 

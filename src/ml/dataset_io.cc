@@ -42,7 +42,7 @@ Status SaveDatasetCsv(const Dataset& dataset, const std::string& path) {
 
 Result<Dataset> DatasetFromCsv(std::string_view text,
                                std::vector<std::string> class_names) {
-  TRAJKIT_ASSIGN_OR_RETURN(CsvTable table, ParseCsv(text, CsvOptions{}));
+  TRAJKIT_ASSIGN_OR_RETURN(CsvTable table, ParseCsv(text));
   const int label_col = table.ColumnIndex(kLabelColumn);
   const int group_col = table.ColumnIndex(kGroupColumn);
   const int time_col = table.ColumnIndex(kTimeColumn);

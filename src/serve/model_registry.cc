@@ -153,7 +153,7 @@ Result<std::vector<int>> LoadFig3FeatureSubset(const std::string& path,
   if (top_k <= 0) {
     return Status::InvalidArgument("top_k must be positive");
   }
-  TRAJKIT_ASSIGN_OR_RETURN(CsvTable table, ReadCsvFile(path, CsvOptions{}));
+  TRAJKIT_ASSIGN_OR_RETURN(CsvTable table, ReadCsvFile(path));
   const int method_col = table.ColumnIndex("method");
   const int k_col = table.ColumnIndex("k");
   const int feature_col = table.ColumnIndex("feature");

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -150,6 +155,13 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("abc"), "abc");
 }
 
+TEST(StringsTest, StripWhitespaceStripsWhatIsspaceDoes) {
+  for (int c = 0; c < 256; ++c) {
+    const std::string text = std::string(1, static_cast<char>(c)) + "x";
+    EXPECT_EQ(StripWhitespace(text).size(), std::isspace(c) ? 1u : 2u) << c;
+  }
+}
+
 TEST(StringsTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("trajkit", "traj"));
   EXPECT_FALSE(StartsWith("traj", "trajkit"));
@@ -182,6 +194,102 @@ TEST(StringsTest, ParseInt64Invalid) {
   EXPECT_FALSE(ParseInt64("12.5").ok());
   EXPECT_FALSE(ParseInt64("").ok());
   EXPECT_FALSE(ParseInt64("999999999999999999999999").ok());
+}
+
+// The strtod/strtoll parsers the from_chars fast paths must match: accept
+// exactly when the whole stripped field converts without ERANGE, with the
+// same value.
+Result<double> StrtodReference(std::string_view text) {
+  const std::string buf(StripWhitespace(text));
+  if (buf.empty()) return Status::ParseError("empty");
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(buf.c_str(), &end);
+  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
+    return Status::ParseError("not a double");
+  }
+  return value;
+}
+
+Result<long long> StrtollReference(std::string_view text) {
+  const std::string buf(StripWhitespace(text));
+  if (buf.empty()) return Status::ParseError("empty");
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(buf.c_str(), &end, 10);
+  if (end != buf.c_str() + buf.size() || errno == ERANGE) {
+    return Status::ParseError("not an integer");
+  }
+  return value;
+}
+
+void ExpectSameDouble(const std::string& text) {
+  const Result<double> got = ParseDouble(text);
+  const Result<double> want = StrtodReference(text);
+  ASSERT_EQ(got.ok(), want.ok()) << "'" << text << "'";
+  if (got.ok()) {
+    // Bitwise, so -0.0 and NaN payloads count too.
+    EXPECT_EQ(std::memcmp(&got.value(), &want.value(), sizeof(double)), 0)
+        << "'" << text << "'";
+  }
+}
+
+void ExpectSameInt64(const std::string& text) {
+  const Result<long long> got = ParseInt64(text);
+  const Result<long long> want = StrtollReference(text);
+  ASSERT_EQ(got.ok(), want.ok()) << "'" << text << "'";
+  if (got.ok()) {
+    EXPECT_EQ(got.value(), want.value()) << "'" << text << "'";
+  }
+}
+
+TEST(StringsTest, ParseDoubleMatchesStrtodOnEdgeCases) {
+  for (const char* text :
+       {"+1.5", "-0", "+0", "0.0", "-0.0", "0x1p3", "0X1.8P-2", "inf", "-INF",
+        "infinity", "nan", "NaN(123)", "1e-310", "-1e-310", "1e-400",
+        "1e400", "-1e400", "1.7976931348623157e308", "1.7976931348623159e308",
+        "2.2250738585072014e-308", "2.2250738585072011e-308",
+        "4.9406564584124654e-324", "1e", "1e+", ".5", "5.", ".", "-", "+",
+        "1_0", " \t39.984702\r", "116.318417 ", "1 2", "1,5", "0001.5",
+        "00000000000000000000000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000000000000000000000000000000000000000"
+        "1.25"}) {
+    ExpectSameDouble(text);
+  }
+  ExpectSameDouble(std::string("1.5\0x", 5));
+}
+
+TEST(StringsTest, ParseInt64MatchesStrtollOnEdgeCases) {
+  for (const char* text :
+       {"+12", "-0", "+0", "007", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "0x10", "1e3", "-", "+", "+-1", " 42\t",
+        "4 2", "4294969304"}) {
+    ExpectSameInt64(text);
+  }
+  ExpectSameInt64(std::string("12\0", 3));
+}
+
+TEST(StringsTest, ParseNumbersMatchStrtoOnRandomFields) {
+  // Seeded random fields over the characters numbers are made of.
+  constexpr char kAlphabet[] = "0123456789+-.eEpPxXabcdfinINFAty \t";
+  Rng rng(20190326);
+  for (int i = 0; i < 20000; ++i) {
+    std::string text;
+    const int length = static_cast<int>(rng.UniformInt(0, 24));
+    for (int c = 0; c < length; ++c) {
+      text.push_back(kAlphabet[rng.NextBounded(sizeof(kAlphabet) - 1)]);
+    }
+    ExpectSameDouble(text);
+    ExpectSameInt64(text);
+  }
+  // Round-tripped random doubles across the whole exponent range.
+  for (int i = 0; i < 20000; ++i) {
+    const double value =
+        rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.UniformInt(-320, 308));
+    ExpectSameDouble(StrPrintf("%.*g", static_cast<int>(rng.UniformInt(1, 20)),
+                               value));
+  }
 }
 
 TEST(StringsTest, JoinStrings) {
@@ -322,7 +430,7 @@ TEST(RngTest, ReseedResetsStream) {
 // ------------------------------------------------------------------- CSV --
 
 TEST(CsvTest, ParsesHeaderAndRows) {
-  const auto table = ParseCsv("a,b,c\n1,2,3\n4,5,6\n", CsvOptions{});
+  const auto table = ParseCsv("a,b,c\n1,2,3\n4,5,6\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->header, (std::vector<std::string>{"a", "b", "c"}));
   ASSERT_EQ(table->rows.size(), 2u);
@@ -330,59 +438,36 @@ TEST(CsvTest, ParsesHeaderAndRows) {
 }
 
 TEST(CsvTest, ColumnIndexLookup) {
-  const auto table = ParseCsv("x,y\n1,2\n", CsvOptions{});
+  const auto table = ParseCsv("x,y\n1,2\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->ColumnIndex("y"), 1);
   EXPECT_EQ(table->ColumnIndex("z"), -1);
 }
 
-TEST(CsvTest, SkipLinesSkipsPreamble) {
-  CsvOptions options;
-  options.has_header = false;
-  options.skip_lines = 2;
-  const auto table = ParseCsv("junk\nmore junk\n1,2\n3,4\n", options);
-  ASSERT_TRUE(table.ok());
-  ASSERT_EQ(table->rows.size(), 2u);
-  EXPECT_EQ(table->rows[0][0], "1");
-}
-
 TEST(CsvTest, RejectsRaggedRows) {
-  CsvOptions options;
-  options.has_header = false;
-  const auto table = ParseCsv("1,2\n3\n", options);
+  const auto table = ParseCsv("a,b\n1,2\n3\n");
   EXPECT_FALSE(table.ok());
   EXPECT_EQ(table.status().code(), StatusCode::kParseError);
 }
 
-TEST(CsvTest, SkipMalformedRowsWhenAsked) {
-  CsvOptions options;
-  options.has_header = false;
-  options.skip_malformed_rows = true;
-  const auto table = ParseCsv("1,2\n3\n4,5\n", options);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->rows.size(), 2u);
+TEST(CsvTest, RejectsFirstRowThatDisagreesWithHeader) {
+  const auto table = ParseCsv("a,b,c\n1,2\n");
+  EXPECT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kParseError);
 }
 
 TEST(CsvTest, HandlesCrLfAndBlankLines) {
-  const auto table = ParseCsv("a,b\r\n1,2\r\n\r\n3,4\r\n", CsvOptions{});
+  const auto table = ParseCsv("a,b\r\n1,2\r\n\r\n3,4\r\n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->rows.size(), 2u);
   EXPECT_EQ(table->rows[1][1], "4");
 }
 
 TEST(CsvTest, StripsFieldWhitespace) {
-  const auto table = ParseCsv("a , b\n 1 , 2 \n", CsvOptions{});
+  const auto table = ParseCsv("a , b\n 1 , 2 \n");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->header[1], "b");
   EXPECT_EQ(table->rows[0][0], "1");
-}
-
-TEST(CsvTest, CustomDelimiter) {
-  CsvOptions options;
-  options.delimiter = '\t';
-  const auto table = ParseCsv("a\tb\n1\t2\n", options);
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table->rows[0][1], "2");
 }
 
 TEST(CsvTest, WriteRoundTrips) {
@@ -390,7 +475,7 @@ TEST(CsvTest, WriteRoundTrips) {
   table.header = {"a", "b"};
   table.rows = {{"1", "2"}, {"3", "4"}};
   const std::string text = WriteCsv(table);
-  const auto parsed = ParseCsv(text, CsvOptions{});
+  const auto parsed = ParseCsv(text);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->header, table.header);
   EXPECT_EQ(parsed->rows, table.rows);
@@ -403,15 +488,37 @@ TEST(CsvTest, FileRoundTrip) {
   table.header = {"x"};
   table.rows = {{"42"}};
   ASSERT_TRUE(WriteCsvFile(path, table).ok());
-  const auto read = ReadCsvFile(path, CsvOptions{});
+  const auto read = ReadCsvFile(path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->rows[0][0], "42");
 }
 
 TEST(CsvTest, MissingFileIsIoError) {
-  const auto result = ReadCsvFile("/nonexistent/path.csv", CsvOptions{});
+  const auto result = ReadCsvFile("/nonexistent/path.csv");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
+TEST(CsvTest, ReadFileToStringReadsWholeFiles) {
+  const std::string dir = testing::TempDir() + "/trajkit_read_file_test";
+  const std::string empty_path = dir + "/empty.txt";
+  ASSERT_TRUE(WriteStringToFile(empty_path, "").ok());
+  const auto empty = ReadFileToString(empty_path);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+
+  // Larger than any stream buffer, with every byte value, NUL included.
+  std::string big;
+  for (int i = 0; i < 300000; ++i) big.push_back(static_cast<char>(i * 7));
+  const std::string big_path = dir + "/big.bin";
+  ASSERT_TRUE(WriteStringToFile(big_path, big).ok());
+  const auto read = ReadFileToString(big_path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), big);
+
+  const auto directory = ReadFileToString(dir);
+  EXPECT_FALSE(directory.ok());
+  EXPECT_EQ(directory.status().code(), StatusCode::kIoError);
 }
 
 // ---------------------------------------------------------- TablePrinter --

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # TrajKit CI driver, run locally or by .github/workflows/ci.yml:
 #
-#   1. tier-1: configure (-Werror) + build + full ctest
+#   1. tier-1: configure (-Werror) + build + full ctest, then the
+#      benchmark self-test (perfbench/selftest.py: every workload tiny,
+#      plain and traced, with its output checks), so a library change that
+#      breaks the benchmark's build or its output checks fails here
 #   2. shard determinism: the same replay corpus at --shards=1/2/8 must
 #      produce byte-identical predictions, lifecycle accounting, and
 #      deterministic metrics (tools/check_shard_metrics.py)
@@ -65,6 +68,9 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 
 echo "==> tier-1: ctest"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "==> tier-1: benchmark self-test"
+python3 perfbench/selftest.py
 
 # Shard-determinism matrix: the sharding refactor must be invisible to
 # the replayed workload. One corpus, one model, three shard counts —
