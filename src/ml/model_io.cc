@@ -1,5 +1,8 @@
 #include "ml/model_io.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/csv.h"
 #include "common/strings.h"
 
@@ -52,6 +55,39 @@ Result<std::string_view> NextLine(const std::vector<std::string_view>& lines,
   return lines[cursor++];
 }
 
+/// Parses an integer field and checks it lies in [lo, hi] before the
+/// caller narrows it, so a huge or negative value cannot wrap into range.
+Result<long long> ParseIntIn(std::string_view field, long long lo,
+                             long long hi, const char* what) {
+  TRAJKIT_ASSIGN_OR_RETURN(long long value, ParseInt64(field));
+  if (value < lo || value > hi) {
+    return Status::ParseError(StrPrintf("%s %lld outside [%lld, %lld]", what,
+                                        value, lo, hi));
+  }
+  return value;
+}
+
+/// An int field no smaller than `lo`.
+Result<int> ParseInt(std::string_view field, const char* what,
+                     long long lo = std::numeric_limits<int>::min()) {
+  TRAJKIT_ASSIGN_OR_RETURN(
+      long long value,
+      ParseIntIn(field, lo, std::numeric_limits<int>::max(), what));
+  return static_cast<int>(value);
+}
+
+/// A count of the lines that follow: never negative and never more than
+/// the lines left, so nothing is sized from an impossible value.
+Result<size_t> ParseLineCount(std::string_view field,
+                              const std::vector<std::string_view>& lines,
+                              size_t cursor, const char* what) {
+  TRAJKIT_ASSIGN_OR_RETURN(
+      long long count,
+      ParseIntIn(field, 0, static_cast<long long>(lines.size() - cursor),
+                 what));
+  return static_cast<size_t>(count);
+}
+
 }  // namespace
 
 void DecisionTree::AppendSerialized(std::string& out) const {
@@ -89,13 +125,9 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     if (fields.size() != 3 || fields[0] != "tree") {
       return Status::ParseError("bad tree header");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long classes, ParseInt64(fields[1]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long depth, ParseInt64(fields[2]));
-    tree.num_classes_ = static_cast<int>(classes);
-    tree.depth_ = static_cast<int>(depth);
-    if (tree.num_classes_ <= 0) {
-      return Status::ParseError("tree must have positive class count");
-    }
+    TRAJKIT_ASSIGN_OR_RETURN(tree.num_classes_,
+                             ParseInt(fields[1], "tree class count", 1));
+    TRAJKIT_ASSIGN_OR_RETURN(tree.depth_, ParseInt(fields[2], "tree depth"));
   }
 
   TRAJKIT_ASSIGN_OR_RETURN(std::string_view nodes_line,
@@ -105,24 +137,21 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     if (fields.size() != 2 || fields[0] != "nodes") {
       return Status::ParseError("bad nodes header");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long count, ParseInt64(fields[1]));
-    tree.nodes_.reserve(static_cast<size_t>(count));
-    for (long long i = 0; i < count; ++i) {
+    TRAJKIT_ASSIGN_OR_RETURN(
+        size_t count, ParseLineCount(fields[1], lines, cursor, "node count"));
+    tree.nodes_.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
       TRAJKIT_ASSIGN_OR_RETURN(std::string_view line,
                                NextLine(lines, cursor));
       const auto f = SplitString(line, ' ');
       if (f.size() != 5) return Status::ParseError("bad node line");
       Node node;
-      TRAJKIT_ASSIGN_OR_RETURN(long long feature, ParseInt64(f[0]));
-      TRAJKIT_ASSIGN_OR_RETURN(double threshold, ParseDouble(f[1]));
-      TRAJKIT_ASSIGN_OR_RETURN(long long left, ParseInt64(f[2]));
-      TRAJKIT_ASSIGN_OR_RETURN(long long right, ParseInt64(f[3]));
-      TRAJKIT_ASSIGN_OR_RETURN(long long dist, ParseInt64(f[4]));
-      node.feature = static_cast<int>(feature);
-      node.threshold = threshold;
-      node.left = static_cast<int>(left);
-      node.right = static_cast<int>(right);
-      node.distribution = static_cast<int>(dist);
+      TRAJKIT_ASSIGN_OR_RETURN(node.feature, ParseInt(f[0], "node feature"));
+      TRAJKIT_ASSIGN_OR_RETURN(node.threshold, ParseDouble(f[1]));
+      TRAJKIT_ASSIGN_OR_RETURN(node.left, ParseInt(f[2], "left child"));
+      TRAJKIT_ASSIGN_OR_RETURN(node.right, ParseInt(f[3], "right child"));
+      TRAJKIT_ASSIGN_OR_RETURN(node.distribution,
+                               ParseInt(f[4], "leaf distribution"));
       tree.nodes_.push_back(node);
     }
   }
@@ -134,12 +163,15 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     if (fields.size() != 3 || fields[0] != "distributions") {
       return Status::ParseError("bad distributions header");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long count, ParseInt64(fields[1]));
+    TRAJKIT_ASSIGN_OR_RETURN(
+        size_t count,
+        ParseLineCount(fields[1], lines, cursor, "distribution count"));
     TRAJKIT_ASSIGN_OR_RETURN(long long k, ParseInt64(fields[2]));
-    if (static_cast<int>(k) != tree.num_classes_) {
+    if (k != tree.num_classes_) {
       return Status::ParseError("distribution width != class count");
     }
-    for (long long i = 0; i < count; ++i) {
+    tree.leaf_distributions_.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
       TRAJKIT_ASSIGN_OR_RETURN(std::string_view line,
                                NextLine(lines, cursor));
       TRAJKIT_ASSIGN_OR_RETURN(
@@ -156,7 +188,8 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     if (fields.size() != 2 || fields[0] != "importances") {
       return Status::ParseError("bad importances header");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long count, ParseInt64(fields[1]));
+    TRAJKIT_ASSIGN_OR_RETURN(int count,
+                             ParseInt(fields[1], "importance count", 0));
     TRAJKIT_ASSIGN_OR_RETURN(std::string_view line,
                              NextLine(lines, cursor));
     TRAJKIT_ASSIGN_OR_RETURN(
@@ -165,19 +198,62 @@ Result<DecisionTree> DecisionTree::DeserializeBlock(
     tree.importances_ = std::move(imp);
   }
 
-  // Structural validation: child/distribution indices in range.
-  const int node_count = static_cast<int>(tree.nodes_.size());
-  const int dist_count = static_cast<int>(tree.leaf_distributions_.size());
+  // Structural validation: the builder writes nodes in preorder with the
+  // root at 0, so every child index is greater than its parent's. With
+  // each non-root node claimed by exactly one parent, the nodes form one
+  // tree reachable from the root: no cycles, no shared or orphan nodes.
+  // That is the shape the pointer walk and the flat compile both descend,
+  // and the header depth must be its longest path because the batched
+  // flat kernel makes exactly that many sweeps.
+  const size_t node_count = tree.nodes_.size();
   if (node_count == 0) return Status::ParseError("tree has no nodes");
-  for (const Node& node : tree.nodes_) {
-    if (node.feature >= 0) {
-      if (node.left < 0 || node.left >= node_count || node.right < 0 ||
-          node.right >= node_count) {
-        return Status::ParseError("node child index out of range");
+  const size_t width = tree.importances_.size();
+  std::vector<int> parents(node_count, 0);
+  std::vector<int> depth(node_count, 0);
+  int longest = 0;
+  for (size_t i = 0; i < node_count; ++i) {
+    const Node& node = tree.nodes_[i];
+    if (node.feature < 0) {
+      if (node.feature != -1) {
+        return Status::ParseError(
+            StrPrintf("node %zu has feature %d; leaves use -1", i,
+                      node.feature));
       }
-    } else if (node.distribution < 0 || node.distribution >= dist_count) {
-      return Status::ParseError("leaf distribution index out of range");
+      if (node.distribution < 0 ||
+          static_cast<size_t>(node.distribution) >=
+              tree.leaf_distributions_.size()) {
+        return Status::ParseError("leaf distribution index out of range");
+      }
+      continue;
     }
+    if (static_cast<size_t>(node.feature) >= width) {
+      return Status::ParseError(StrPrintf(
+          "node %zu splits on feature %d; the tree has %zu features", i,
+          node.feature, width));
+    }
+    for (const int child : {node.left, node.right}) {
+      if (child <= static_cast<int>(i) ||
+          static_cast<size_t>(child) >= node_count) {
+        return Status::ParseError(StrPrintf(
+            "node %zu child index %d must lie in (%zu, %zu)", i, child, i,
+            node_count));
+      }
+      ++parents[static_cast<size_t>(child)];
+      depth[static_cast<size_t>(child)] = depth[i] + 1;
+      longest = std::max(longest, depth[i] + 1);
+    }
+  }
+  for (size_t i = 1; i < node_count; ++i) {
+    if (parents[i] != 1) {
+      return Status::ParseError(StrPrintf(
+          "node %zu has %d parents; every non-root node needs exactly one",
+          i, parents[i]));
+    }
+  }
+  if (tree.depth_ != longest) {
+    return Status::ParseError(StrPrintf(
+        "tree header depth %d != longest root-to-leaf path %d", tree.depth_,
+        longest));
   }
   return tree;
 }
@@ -235,24 +311,25 @@ Result<RandomForest> RandomForest::Deserialize(std::string_view text) {
     if (f.size() != 10 || f[0] != "params") {
       return Status::ParseError("bad params line");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long v1, ParseInt64(f[1]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v2, ParseInt64(f[2]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v3, ParseInt64(f[3]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v4, ParseInt64(f[4]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v5, ParseInt64(f[5]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v6, ParseInt64(f[6]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v7, ParseInt64(f[7]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v8, ParseInt64(f[8]));
-    TRAJKIT_ASSIGN_OR_RETURN(long long v9, ParseInt64(f[9]));
-    params.n_estimators = static_cast<int>(v1);
-    params.criterion = static_cast<SplitCriterion>(v2);
-    params.max_depth = static_cast<int>(v3);
-    params.min_samples_split = static_cast<int>(v4);
-    params.min_samples_leaf = static_cast<int>(v5);
-    params.max_features = static_cast<int>(v6);
-    params.bootstrap = v7 != 0;
-    params.balanced_class_weights = v8 != 0;
-    params.seed = static_cast<uint64_t>(v9);
+    TRAJKIT_ASSIGN_OR_RETURN(params.n_estimators,
+                             ParseInt(f[1], "n_estimators"));
+    TRAJKIT_ASSIGN_OR_RETURN(long long criterion,
+                             ParseIntIn(f[2], 0, 1, "criterion"));
+    params.criterion = static_cast<SplitCriterion>(criterion);
+    TRAJKIT_ASSIGN_OR_RETURN(params.max_depth, ParseInt(f[3], "max_depth"));
+    TRAJKIT_ASSIGN_OR_RETURN(params.min_samples_split,
+                             ParseInt(f[4], "min_samples_split"));
+    TRAJKIT_ASSIGN_OR_RETURN(params.min_samples_leaf,
+                             ParseInt(f[5], "min_samples_leaf"));
+    TRAJKIT_ASSIGN_OR_RETURN(params.max_features,
+                             ParseInt(f[6], "max_features"));
+    TRAJKIT_ASSIGN_OR_RETURN(long long bootstrap,
+                             ParseIntIn(f[7], 0, 1, "bootstrap"));
+    TRAJKIT_ASSIGN_OR_RETURN(long long balanced,
+                             ParseIntIn(f[8], 0, 1, "balanced"));
+    params.bootstrap = bootstrap != 0;
+    params.balanced_class_weights = balanced != 0;
+    TRAJKIT_ASSIGN_OR_RETURN(params.seed, ParseUint64(f[9]));
   }
   RandomForest forest(params);
 
@@ -263,8 +340,8 @@ Result<RandomForest> RandomForest::Deserialize(std::string_view text) {
     if (f.size() != 2 || f[0] != "classes") {
       return Status::ParseError("bad classes line");
     }
-    TRAJKIT_ASSIGN_OR_RETURN(long long k, ParseInt64(f[1]));
-    forest.num_classes_ = static_cast<int>(k);
+    TRAJKIT_ASSIGN_OR_RETURN(forest.num_classes_,
+                             ParseInt(f[1], "class count", 1));
   }
 
   TRAJKIT_ASSIGN_OR_RETURN(std::string_view trees_line,
@@ -273,11 +350,13 @@ Result<RandomForest> RandomForest::Deserialize(std::string_view text) {
   if (f.size() != 2 || f[0] != "trees") {
     return Status::ParseError("bad trees line");
   }
-  TRAJKIT_ASSIGN_OR_RETURN(long long tree_count, ParseInt64(f[1]));
-  if (tree_count <= 0) {
+  TRAJKIT_ASSIGN_OR_RETURN(
+      size_t tree_count, ParseLineCount(f[1], lines, cursor, "tree count"));
+  if (tree_count == 0) {
     return Status::ParseError("forest must contain at least one tree");
   }
-  for (long long i = 0; i < tree_count; ++i) {
+  forest.trees_.reserve(tree_count);
+  for (size_t i = 0; i < tree_count; ++i) {
     TRAJKIT_ASSIGN_OR_RETURN(DecisionTree tree,
                              DecisionTree::DeserializeBlock(lines, cursor));
     if (tree.num_classes() != forest.num_classes_) {

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -16,6 +17,11 @@
 
 namespace trajkit::obs {
 namespace {
+
+/// How long one connection may take to deliver its request line. The
+/// server answers one connection at a time, so this bounds how long an
+/// idle or slow-drip client can hold up every other scrape.
+constexpr std::chrono::milliseconds kRequestDeadline{1000};
 
 /// Writes the whole buffer, retrying on EINTR; best-effort (a scraper
 /// that hangs up mid-response is its own problem). MSG_NOSIGNAL keeps a
@@ -129,12 +135,25 @@ void HttpExportServer::AcceptLoop() {
 
 void HttpExportServer::HandleConnection(int fd) {
   // Read until the end of headers (or 8 KiB — request lines we serve are
-  // tiny). One request per connection, HTTP/1.0 style.
+  // tiny). One request per connection, HTTP/1.0 style. Each read waits on
+  // the client and the wake pipe together, bounded by the connection's
+  // deadline: a client that has not sent its request line by then is
+  // closed unanswered, and Stop() never waits on a client.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
   std::string request;
   char buffer[1024];
   while (request.size() < 8192 &&
          request.find("\r\n\r\n") == std::string::npos &&
          request.find('\n') == std::string::npos) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return;
+    pollfd fds[2];
+    fds[0] = {fd, POLLIN, 0};
+    fds[1] = {wake_pipe_[0], POLLIN, 0};
+    const int ready = ::poll(fds, 2, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0 || fds[1].revents != 0) return;
     const ssize_t n = ::read(fd, buffer, sizeof(buffer));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

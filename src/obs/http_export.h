@@ -23,9 +23,15 @@
 // registry it is exporting, or /metrics could never byte-match a file
 // dump taken a moment earlier.
 //
-// Shutdown: Stop() pokes a self-pipe the accept loop polls alongside the
-// listener, then joins the thread — clean and test-joinable, never
-// relying on close() waking accept().
+// Connections are served one at a time. Each gets a fixed deadline
+// (one second) to send its request line and is closed unanswered when it
+// expires, so an idle or slow-drip client delays other scrapes by at most
+// that long instead of stalling the server.
+//
+// Shutdown: Stop() pokes a self-pipe that the accept loop and the request
+// read both poll alongside their socket, then joins the thread — clean
+// and test-joinable even with a client connected, never relying on
+// close() waking accept().
 
 #include <atomic>
 #include <cstdint>

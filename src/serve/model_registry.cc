@@ -205,8 +205,8 @@ Status ModelRegistry::Register(ServingModel model) {
   // Lower the forest into its flat inference form before the model becomes
   // visible, so serving always runs the compiled path — including right
   // after a hot swap — and never pays the compile on a request thread.
-  // Deserialized models arrive uncompiled; models compiled by the caller
-  // (e.g. with quantization) are kept as-is.
+  // Deserialized models arrive uncompiled; models the caller already
+  // compiled are kept as-is.
   if (model.forest.flat() == nullptr) {
     TRAJKIT_RETURN_IF_ERROR(model.forest.CompileFlat());
   }
@@ -367,13 +367,9 @@ void ModelRegistry::ExportActiveMetricsLocked() {
   // Shape of the active model's compiled inference form, for statusz and
   // dashboards (Register guarantees flat() is set for registered models).
   if (const ml::FlatForest* flat = active_->forest.flat()) {
-    const ml::FlatForestStats stats = flat->Stats();
     obs::MetricsRegistry::Global()
         .GetGauge("serve.registry.flat_nodes")
-        .Set(static_cast<double>(stats.num_nodes));
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.registry.flat_quantized")
-        .Set(stats.quantized ? 1.0 : 0.0);
+        .Set(static_cast<double>(flat->num_nodes()));
   }
 }
 

@@ -1,5 +1,7 @@
 #include "serve/serve_config.h"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/strings.h"
@@ -7,20 +9,69 @@
 namespace trajkit::serve {
 namespace {
 
-/// One bounds check -> InvalidArgument naming the flag.
-Status RequireAtLeast(long long value, long long floor, const char* flag) {
-  if (value < floor) {
-    return Status::InvalidArgument(StrPrintf(
-        "--%s must be >= %lld (got %lld)", flag, floor, value));
+// Flag readers: an absent flag takes its fallback; a present value must
+// parse in full (Flags' own getters silently fall back or narrow). Every
+// value, fallback included, is then bounds-checked. Each error is an
+// InvalidArgument naming the flag.
+
+/// Integer flags keep the int range they always had (the fields that are
+/// size_t were parsed through int too), so a value past INT_MAX is an
+/// error rather than a wrapped or enormous shard/batch count.
+template <typename T>
+Status ReadInt(const Flags& flags, const char* name, T fallback,
+               long long lo, T* out,
+               long long hi = std::numeric_limits<int>::max()) {
+  long long value = static_cast<long long>(fallback);
+  if (flags.Has(name)) {
+    const std::string text = flags.GetString(name, "");
+    const Result<long long> parsed = ParseInt64(text);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument(
+          StrPrintf("--%s=%s is not an integer", name, text.c_str()));
+    }
+    value = *parsed;
   }
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(StrPrintf(
+        "--%s must be in [%lld, %lld] (got %lld)", name, lo, hi, value));
+  }
+  *out = static_cast<T>(value);
   return Status::Ok();
 }
 
-Status RequireNonNegative(double value, const char* flag) {
-  if (value < 0.0) {
-    return Status::InvalidArgument(
-        StrPrintf("--%s must be >= 0 (got %g)", flag, value));
+/// Full-range unsigned flags (seeds).
+Status ReadUint64(const Flags& flags, const char* name, uint64_t fallback,
+                  uint64_t* out) {
+  *out = fallback;
+  if (!flags.Has(name)) return Status::Ok();
+  const std::string text = flags.GetString(name, "");
+  const Result<unsigned long long> parsed = ParseUint64(text);
+  if (!parsed.ok()) {
+    return Status::InvalidArgument(StrPrintf(
+        "--%s=%s is not an unsigned 64-bit integer", name, text.c_str()));
   }
+  *out = *parsed;
+  return Status::Ok();
+}
+
+/// Finite double flags with an inclusive lower bound (NaN never passes).
+Status ReadDouble(const Flags& flags, const char* name, double fallback,
+                  double lo, double* out) {
+  double value = fallback;
+  if (flags.Has(name)) {
+    const std::string text = flags.GetString(name, "");
+    const Result<double> parsed = ParseDouble(text);
+    if (!parsed.ok() || !std::isfinite(*parsed)) {
+      return Status::InvalidArgument(
+          StrPrintf("--%s=%s is not a finite number", name, text.c_str()));
+    }
+    value = *parsed;
+  }
+  if (!(value >= lo)) {
+    return Status::InvalidArgument(
+        StrPrintf("--%s must be >= %g (got %g)", name, lo, value));
+  }
+  *out = value;
   return Status::Ok();
 }
 
@@ -105,51 +156,38 @@ ReplayOptions ServeConfig::MakeReplayOptions() const {
 
 Result<ServeConfig> ParseServeFlags(const Flags& flags,
                                     const ServeConfigDefaults& defaults) {
+  constexpr double kAny = -std::numeric_limits<double>::infinity();
   ServeConfig config;
-
-  config.users = flags.GetInt("users", defaults.users);
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(config.users, 1, "users"));
-  config.days = flags.GetInt("days", defaults.days);
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(config.days, 1, "days"));
-  config.seed = flags.GetUint64("seed", defaults.seed);
-  config.trees = flags.GetInt("trees", defaults.trees);
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(config.trees, 1, "trees"));
-
-  const int batch =
-      flags.GetInt("batch", static_cast<int>(defaults.batch));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(batch, 1, "batch"));
-  config.batch = static_cast<size_t>(batch);
-
-  const double max_delay_ms =
-      flags.GetDouble("max_delay_ms", defaults.max_delay_ms);
-  TRAJKIT_RETURN_IF_ERROR(RequireNonNegative(max_delay_ms, "max_delay_ms"));
+  double max_delay_ms = 0.0;
+  double deadline_ms = 0.0;
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "users", defaults.users, 1, &config.users));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "days", defaults.days, 1, &config.days));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadUint64(flags, "seed", defaults.seed, &config.seed));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "trees", defaults.trees, 1, &config.trees));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "batch", defaults.batch, 1, &config.batch));
+  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "max_delay_ms",
+                                     defaults.max_delay_ms, 0.0,
+                                     &max_delay_ms));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "max_queue", defaults.max_queue, 0, &config.max_queue));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "shards", defaults.shards, 1, &config.shards));
+  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "gap", defaults.gap_seconds, 0.0,
+                                     &config.gap_seconds));
+  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "max_window", defaults.max_window,
+                                  0, &config.max_window));
+  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "deadline_ms",
+                                     defaults.deadline_ms, 0.0,
+                                     &deadline_ms));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "retries", defaults.retries, 0, &config.retries));
   config.max_delay_seconds = max_delay_ms * 1e-3;
-
-  const int max_queue =
-      flags.GetInt("max_queue", static_cast<int>(defaults.max_queue));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(max_queue, 0, "max_queue"));
-  config.max_queue = static_cast<size_t>(max_queue);
-
-  const int shards =
-      flags.GetInt("shards", static_cast<int>(defaults.shards));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(shards, 1, "shards"));
-  config.shards = static_cast<size_t>(shards);
-
-  config.gap_seconds = flags.GetDouble("gap", defaults.gap_seconds);
-  TRAJKIT_RETURN_IF_ERROR(RequireNonNegative(config.gap_seconds, "gap"));
-
-  const int max_window =
-      flags.GetInt("max_window", static_cast<int>(defaults.max_window));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(max_window, 0, "max_window"));
-  config.max_window = static_cast<size_t>(max_window);
-
-  const double deadline_ms =
-      flags.GetDouble("deadline_ms", defaults.deadline_ms);
-  TRAJKIT_RETURN_IF_ERROR(RequireNonNegative(deadline_ms, "deadline_ms"));
   config.deadline_seconds = deadline_ms * 1e-3;
-
-  config.retries = flags.GetInt("retries", defaults.retries);
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(config.retries, 0, "retries"));
 
   // An explicit --fault_spec (even an empty one, which disables the
   // entry point's default chaos) beats the defaults.
@@ -166,11 +204,8 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
   }
 
   // Telemetry plane.
-  config.http_port = flags.GetInt("http_port", -1);
-  if (config.http_port < -1 || config.http_port > 65535) {
-    return Status::InvalidArgument(StrPrintf(
-        "--http_port must be in [0, 65535] (got %d)", config.http_port));
-  }
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "http_port", -1, -1, &config.http_port, 65535));
   config.http_linger = flags.GetBool("http_linger", false);
   if (config.http_linger && config.http_port < 0) {
     return Status::InvalidArgument(
@@ -185,15 +220,11 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
           StrPrintf("--slo_spec: %s", error.c_str()));
     }
   }
-  const int timeseries_capacity = flags.GetInt(
-      "timeseries_capacity", static_cast<int>(config.timeseries_capacity));
-  TRAJKIT_RETURN_IF_ERROR(
-      RequireAtLeast(timeseries_capacity, 2, "timeseries_capacity"));
-  config.timeseries_capacity = static_cast<size_t>(timeseries_capacity);
-  const int tick_every =
-      flags.GetInt("tick_every", static_cast<int>(config.tick_every));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(tick_every, 1, "tick_every"));
-  config.tick_every = static_cast<size_t>(tick_every);
+  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "timeseries_capacity",
+                                  config.timeseries_capacity, 2,
+                                  &config.timeseries_capacity));
+  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "tick_every", config.tick_every, 1,
+                                  &config.tick_every));
 
   // Continuous training: every knob requires the main switch, so a typo'd
   // or stray CT flag fails loudly instead of silently doing nothing.
@@ -215,57 +246,44 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
   }
 
   ContinuousTrainingConfig& ct = config.ct;
-  const int step_every =
-      flags.GetInt("step_every", static_cast<int>(ct.step_every));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(step_every, 1, "step_every"));
-  ct.step_every = static_cast<size_t>(step_every);
-
-  const int refit_every =
-      flags.GetInt("refit_every", static_cast<int>(ct.refit_every));
   TRAJKIT_RETURN_IF_ERROR(
-      RequireAtLeast(refit_every, step_every, "refit_every"));
-  ct.refit_every = static_cast<size_t>(refit_every);
+      ReadInt(flags, "step_every", ct.step_every, 1, &ct.step_every));
+  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "refit_every", ct.refit_every,
+                                  ct.step_every, &ct.refit_every));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "min_fit", ct.min_fit, 1, &ct.min_fit));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "min_shadow", ct.min_shadow, 1, &ct.min_shadow));
 
-  const int min_fit = flags.GetInt("min_fit", static_cast<int>(ct.min_fit));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(min_fit, 1, "min_fit"));
-  ct.min_fit = static_cast<size_t>(min_fit);
-
-  const int min_shadow =
-      flags.GetInt("min_shadow", static_cast<int>(ct.min_shadow));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(min_shadow, 1, "min_shadow"));
-  ct.min_shadow = static_cast<size_t>(min_shadow);
-
-  ct.promote_epsilon =
-      flags.GetDouble("promote_epsilon", ct.promote_epsilon);
-  ct.cost_budget = flags.GetDouble("cost_budget", ct.cost_budget);
+  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "promote_epsilon",
+                                     ct.promote_epsilon, kAny,
+                                     &ct.promote_epsilon));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadDouble(flags, "cost_budget", ct.cost_budget, kAny, &ct.cost_budget));
   if (ct.cost_budget <= 0.0) {
     return Status::InvalidArgument(StrPrintf(
         "--cost_budget must be > 0 (got %g)", ct.cost_budget));
   }
 
-  ct.trees = flags.GetInt("ct_trees", ct.trees);
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(ct.trees, 1, "ct_trees"));
-  ct.seed = flags.GetUint64("ct_seed", ct.seed);
+  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "ct_trees", ct.trees, 1, &ct.trees));
+  TRAJKIT_RETURN_IF_ERROR(ReadUint64(flags, "ct_seed", ct.seed, &ct.seed));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "ct_buffer", ct.buffer, ct.min_fit, &ct.buffer));
+  TRAJKIT_RETURN_IF_ERROR(
+      ReadInt(flags, "drift_window", ct.drift_window, 1, &ct.drift_window));
 
-  const int buffer = flags.GetInt("ct_buffer", static_cast<int>(ct.buffer));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(buffer, min_fit, "ct_buffer"));
-  ct.buffer = static_cast<size_t>(buffer);
-
-  const int drift_window =
-      flags.GetInt("drift_window", static_cast<int>(ct.drift_window));
-  TRAJKIT_RETURN_IF_ERROR(RequireAtLeast(drift_window, 1, "drift_window"));
-  ct.drift_window = static_cast<size_t>(drift_window);
-
-  ct.drift_threshold =
-      flags.GetDouble("drift_threshold", ct.drift_threshold);
+  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "drift_threshold",
+                                     ct.drift_threshold, kAny,
+                                     &ct.drift_threshold));
   if (ct.drift_threshold <= 0.0) {
     return Status::InvalidArgument(StrPrintf(
         "--drift_threshold must be > 0 (got %g)", ct.drift_threshold));
   }
 
-  ct.drift_degraded_rate =
-      flags.GetDouble("drift_degraded_rate", ct.drift_degraded_rate);
-  if (ct.drift_degraded_rate < 0.0 || ct.drift_degraded_rate > 1.0) {
+  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "drift_degraded_rate",
+                                     ct.drift_degraded_rate, 0.0,
+                                     &ct.drift_degraded_rate));
+  if (ct.drift_degraded_rate > 1.0) {
     return Status::InvalidArgument(
         StrPrintf("--drift_degraded_rate must be in [0, 1] (got %g)",
                   ct.drift_degraded_rate));

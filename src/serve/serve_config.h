@@ -124,8 +124,9 @@ struct ServeConfig {
 };
 
 /// Parses + validates the shared serving flags against an entry point's
-/// defaults. Errors are InvalidArgument naming the offending flag (e.g.
-/// "--shards must be >= 1" or "--refit_every requires
+/// defaults. A present numeric value must parse in full and fit its
+/// field. Errors are InvalidArgument naming the offending flag (e.g.
+/// "--shards=abc is not an integer" or "--refit_every requires
 /// --continuous_training").
 Result<ServeConfig> ParseServeFlags(const Flags& flags,
                                     const ServeConfigDefaults& defaults);

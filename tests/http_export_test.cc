@@ -1,14 +1,16 @@
 // Tests of the embedded HTTP scrape endpoint (src/obs/http_export.h):
 // endpoint routing, the /metrics byte-identity contract, /healthz wired
 // to SLO state, /quitquitquit, clean joinable shutdown, and concurrent
-// scrapes racing a metric-writing ingest thread (run under TSan via the
-// `concurrency` ctest label).
+// scrapes racing a metric-writing ingest thread, and idle or slow-drip
+// clients that must neither stall other scrapes nor Stop() (run under
+// TSan via the `concurrency` ctest label).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -30,21 +32,32 @@ struct HttpReply {
   std::string body;
 };
 
-/// Minimal HTTP/1.0 client: one request, read to EOF (the server closes
-/// after every response — that is the protocol).
-HttpReply Fetch(int port, const std::string& path,
-                const std::string& method = "GET") {
-  HttpReply reply;
+/// Connects to the server; -1 on failure. Reads time out after 10 s so a
+/// stalled server fails the test instead of hanging it.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return reply;
+  if (fd < 0) return -1;
+  const timeval read_timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+               sizeof(read_timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return reply;
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal HTTP/1.0 client: one request, read to EOF (the server closes
+/// after every response — that is the protocol).
+HttpReply Fetch(int port, const std::string& path,
+                const std::string& method = "GET") {
+  HttpReply reply;
+  const int fd = Connect(port);
+  if (fd < 0) return reply;
   const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {
@@ -254,6 +267,82 @@ TEST(HttpExportServerTest, ConcurrentScrapesDuringIngestAreClean) {
   // Stop with no in-flight work left: the accept loop must join.
   server.Stop();
   EXPECT_FALSE(server.running());
+}
+
+// A client that connects and never sends a byte is closed at the request
+// deadline, after which the scrape queued behind it is answered.
+TEST(HttpExportServerTest, IdleClientDoesNotStallHealthz) {
+  MetricsRegistry registry;
+  HttpExportOptions options;
+  options.registry = &registry;
+  HttpExportServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(options, &error)) << error;
+
+  const int idle = Connect(server.port());
+  ASSERT_GE(idle, 0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(Fetch(server.port(), "/healthz").status, 200);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  // The idle connection was closed without an answer.
+  char byte;
+  EXPECT_EQ(::read(idle, &byte, 1), 0);
+  ::close(idle);
+  server.Stop();
+}
+
+// A client that sends its request one byte at a time never finishes
+// within the deadline; it is cut off and /healthz still answers.
+TEST(HttpExportServerTest, SlowDripClientDoesNotStallHealthz) {
+  MetricsRegistry registry;
+  HttpExportOptions options;
+  options.registry = &registry;
+  HttpExportServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(options, &error)) << error;
+
+  const int drip = Connect(server.port());
+  ASSERT_GE(drip, 0);
+  std::atomic<bool> done{false};
+  std::thread dripper([&] {
+    const std::string request = "GET /healthz HTTP/1.0\r\n\r\n";
+    for (const char byte : request) {
+      if (done.load() || ::send(drip, &byte, 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(Fetch(server.port(), "/healthz").status, 200);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  done.store(true);
+  dripper.join();
+  // The dripping client got no response before it was cut off.
+  char byte;
+  EXPECT_EQ(::read(drip, &byte, 1), 0);
+  ::close(drip);
+  server.Stop();
+}
+
+TEST(HttpExportServerTest, StopReturnsPromptlyWithIdleClientConnected) {
+  MetricsRegistry registry;
+  HttpExportOptions options;
+  options.registry = &registry;
+  HttpExportServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(options, &error)) << error;
+
+  const int idle = Connect(server.port());
+  ASSERT_GE(idle, 0);
+  // Let the server accept the connection and wait on its request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  server.Stop();
+  // Well under the one-second request deadline: Stop() does not wait it
+  // out.
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(800));
+  EXPECT_FALSE(server.running());
+  ::close(idle);
 }
 
 }  // namespace

@@ -1,22 +1,16 @@
 // Golden parity and lifecycle tests for the compiled flat inference form
 // (ml/flat_forest.h): bit-identity against the pointer walk at 1 and 8
-// threads, the quantization exactness contract (accept and reject), the
-// raw binary dump round trip (bit-identical, quantized mirror included),
-// and serialize -> compile-on-register -> hot-swap parity through the
-// serving registry.
+// threads, NaN/infinity rows, the single-row vote kernel, and serialize ->
+// compile-on-register -> hot-swap parity through the serving registry.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/csv.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "ml/flat_forest.h"
@@ -150,7 +144,6 @@ TEST(FlatForestTest, StatsCountNodesAndDedupedDistributions) {
   // Pure leaves dominate a fitted forest, so folding identical
   // distributions into the shared table must actually deduplicate.
   EXPECT_LT(stats.shared_distributions, stats.num_leaves);
-  EXPECT_FALSE(stats.quantized);
 }
 
 TEST(FlatForestTest, RefitDropsCompiledForm) {
@@ -161,126 +154,6 @@ TEST(FlatForestTest, RefitDropsCompiledForm) {
   ASSERT_NE(forest.flat(), nullptr);
   ASSERT_TRUE(forest.Fit(train).ok());
   EXPECT_EQ(forest.flat(), nullptr);
-}
-
-TEST(FlatForestTest, QuantizationAcceptedIsExactOnReferenceAndQueries) {
-  // Features on a 0.1 grid: every value sits >= 0.05 from every split
-  // threshold (midpoints of distinct values) while int16 grid cells are
-  // ~range/32000 < 0.002 wide — acceptance is guaranteed, and any 0.1-grid
-  // query descends identically in both forms.
-  Rng rng(41);
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  for (int c = 0; c < 3; ++c) {
-    for (int i = 0; i < 50; ++i) {
-      std::vector<double> row(5);
-      for (size_t f = 0; f < row.size(); ++f) {
-        row[f] = std::round(rng.Gaussian(4.0 * c, 3.0) * 10.0) / 10.0;
-      }
-      rows.push_back(std::move(row));
-      labels.push_back(c);
-    }
-  }
-  const Dataset train =
-      std::move(Dataset::Create(Matrix::FromRows(rows), std::move(labels), {},
-                                {"a", "b", "c", "d", "e"},
-                                {"c0", "c1", "c2"}))
-          .value();
-  RandomForest pointer;
-  ASSERT_TRUE(pointer.Fit(train).ok());
-
-  RandomForest quantized = pointer;
-  FlatForestOptions options;
-  options.quantize = true;
-  options.exactness_reference = &train.features();
-  ASSERT_TRUE(quantized.CompileFlat(options).ok());
-  const FlatForest& flat = *quantized.flat();
-  ASSERT_TRUE(flat.quantized()) << flat.quantization_rejection();
-  EXPECT_TRUE(flat.quantization_rejection().empty());
-  EXPECT_TRUE(flat.Stats().quantized);
-
-  EXPECT_EQ(pointer.Predict(train.features()),
-            quantized.Predict(train.features()));
-  ExpectBitIdentical(
-      std::move(pointer.PredictProba(train.features())).value(),
-      std::move(quantized.PredictProba(train.features())).value());
-
-  // Off-reference queries carry no exactness guarantee (that is precisely
-  // why the check replays reference rows), but the quantized batched
-  // cohort kernel must agree with the quantized single-row kernel.
-  const Matrix queries = RandomQueries(100, 5, 42);
-  const Matrix batch = quantized.PredictProba(queries).value();
-  const double inv = 1.0 / static_cast<double>(flat.num_trees());
-  for (size_t r = 0; r < queries.rows(); ++r) {
-    std::vector<double> acc(3, 0.0);
-    flat.AccumulateVotes(queries.Row(r), inv, acc);
-    for (size_t c = 0; c < acc.size(); ++c) {
-      EXPECT_EQ(batch(r, c), acc[c]) << "row " << r << " col " << c;
-    }
-  }
-}
-
-TEST(FlatForestTest, QuantizationRejectsNearThresholdReferenceSample) {
-  // One feature, two well-separated clusters: the single stump threshold
-  // sits mid-gap, and a crafted reference sample epsilon above it shares
-  // its int16 grid cell — the exactness replay must catch the flip and
-  // keep the exact form.
-  std::vector<std::vector<double>> rows;
-  std::vector<int> labels;
-  for (int i = 0; i < 8; ++i) {
-    rows.push_back({static_cast<double>(i)});
-    labels.push_back(0);
-    rows.push_back({1.0e6 + static_cast<double>(i)});
-    labels.push_back(1);
-  }
-  Dataset train = std::move(Dataset::Create(Matrix::FromRows(rows),
-                                            std::move(labels), {}, {"x"},
-                                            {"lo", "hi"}))
-                      .value();
-  RandomForestParams params;
-  params.n_estimators = 1;
-  params.bootstrap = false;
-  RandomForest forest(params);
-  ASSERT_TRUE(forest.Fit(train).ok());
-
-  // Recover the stump threshold so the crafted sample is provably inside
-  // the same quantization cell (cell width ~ gap/32000 >> 1e-3).
-  double threshold = 0.0;
-  bool found = false;
-  for (const DecisionTree::Node& node : forest.trees()[0].nodes()) {
-    if (node.feature >= 0) {
-      threshold = node.threshold;
-      found = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(found);
-
-  const Matrix reference = Matrix::FromRows({{threshold + 1.0e-3}});
-  FlatForestOptions options;
-  options.quantize = true;
-  options.exactness_reference = &reference;
-  ASSERT_TRUE(forest.CompileFlat(options).ok());
-  EXPECT_FALSE(forest.flat()->quantized());
-  EXPECT_NE(forest.flat()->quantization_rejection().find("diverged"),
-            std::string::npos)
-      << forest.flat()->quantization_rejection();
-  // The rejected compile still serves, exactly, from the exact arrays.
-  EXPECT_EQ(forest.Predict(reference), std::vector<int>{1});
-}
-
-TEST(FlatForestTest, QuantizeOptionsValidated) {
-  const Dataset train = MakeBlobs(2, 20, 3, 1.0, 51);
-  RandomForest forest;
-  ASSERT_TRUE(forest.Fit(train).ok());
-
-  FlatForestOptions options;
-  options.quantize = true;
-  EXPECT_FALSE(forest.CompileFlat(options).ok());  // No reference.
-
-  const Matrix wrong_width = Matrix::FromRows({{1.0, 2.0}});
-  options.exactness_reference = &wrong_width;
-  EXPECT_FALSE(forest.CompileFlat(options).ok());
 }
 
 TEST(FlatForestTest, AccumulateVotesMatchesManualTreeSum) {
@@ -305,103 +178,6 @@ TEST(FlatForestTest, AccumulateVotesMatchesManualTreeSum) {
       EXPECT_EQ(acc[c], expected[c]);
     }
   }
-}
-
-TEST(FlatForestTest, DumpRoundTripIsBitIdentical) {
-  const Dataset train = MakeBlobs(4, 60, 6, 1.4, 77);
-  RandomForestParams params;
-  params.n_estimators = 12;
-  RandomForest forest(params);
-  ASSERT_TRUE(forest.Fit(train).ok());
-  const auto compiled = FlatForest::Compile(forest);
-  ASSERT_TRUE(compiled.ok());
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "trajkit_flat_forest.bin")
-          .string();
-  ASSERT_TRUE(compiled->SaveTo(path).ok());
-  const auto loaded = FlatForest::LoadFrom(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  EXPECT_EQ(loaded->num_classes(), compiled->num_classes());
-  EXPECT_EQ(loaded->num_features(), compiled->num_features());
-  EXPECT_EQ(loaded->num_trees(), compiled->num_trees());
-  EXPECT_EQ(loaded->num_nodes(), compiled->num_nodes());
-  EXPECT_EQ(loaded->quantized(), compiled->quantized());
-
-  const Matrix queries = RandomQueries(150, 6, 78);
-  EXPECT_EQ(loaded->Predict(queries), compiled->Predict(queries));
-  ExpectBitIdentical(loaded->PredictProba(queries),
-                     compiled->PredictProba(queries));
-  std::remove(path.c_str());
-}
-
-TEST(FlatForestTest, DumpRoundTripPreservesTheQuantizedMirror) {
-  // Wide blobs quantize cleanly (same construction the acceptance test
-  // uses); the loaded mirror must route every query to the same leaf.
-  const Dataset train = MakeBlobs(3, 80, 5, 0.4, 81);
-  RandomForestParams params;
-  params.n_estimators = 10;
-  RandomForest forest(params);
-  ASSERT_TRUE(forest.Fit(train).ok());
-  FlatForestOptions options;
-  options.quantize = true;
-  options.exactness_reference = &train.features();
-  const auto compiled = FlatForest::Compile(forest, options);
-  ASSERT_TRUE(compiled.ok());
-  if (!compiled->quantized()) {
-    GTEST_SKIP() << "quantization rejected on this fixture: "
-                 << compiled->quantization_rejection();
-  }
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "trajkit_flat_forest_q.bin")
-          .string();
-  ASSERT_TRUE(compiled->SaveTo(path).ok());
-  const auto loaded = FlatForest::LoadFrom(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded->quantized());
-
-  const Matrix queries = RandomQueries(100, 5, 82);
-  for (size_t r = 0; r < queries.rows(); ++r) {
-    for (size_t t = 0; t < compiled->num_trees(); ++t) {
-      EXPECT_EQ(loaded->LeafIndexForTest(t, queries.Row(r), true),
-                compiled->LeafIndexForTest(t, queries.Row(r), true));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FlatForestTest, LoadRejectsMissingCorruptAndTruncatedDumps) {
-  EXPECT_FALSE(FlatForest::LoadFrom("/nonexistent/flat_forest.bin").ok());
-
-  const std::string garbage =
-      (std::filesystem::temp_directory_path() / "trajkit_ff_garbage.bin")
-          .string();
-  ASSERT_TRUE(WriteStringToFile(garbage, "not a forest dump").ok());
-  EXPECT_FALSE(FlatForest::LoadFrom(garbage).ok());
-  std::remove(garbage.c_str());
-
-  const Dataset train = MakeBlobs(3, 40, 4, 1.2, 83);
-  RandomForest forest;
-  ASSERT_TRUE(forest.Fit(train).ok());
-  const auto compiled = FlatForest::Compile(forest);
-  ASSERT_TRUE(compiled.ok());
-  const std::string full =
-      (std::filesystem::temp_directory_path() / "trajkit_ff_full.bin")
-          .string();
-  ASSERT_TRUE(compiled->SaveTo(full).ok());
-  const std::string bytes = ReadFileToString(full).value();
-  const std::string truncated =
-      (std::filesystem::temp_directory_path() / "trajkit_ff_trunc.bin")
-          .string();
-  ASSERT_TRUE(
-      WriteStringToFile(truncated,
-                        std::string_view(bytes).substr(0, bytes.size() / 2))
-          .ok());
-  EXPECT_FALSE(FlatForest::LoadFrom(truncated).ok());
-  std::remove(full.c_str());
-  std::remove(truncated.c_str());
 }
 
 TEST(FlatForestTest, SerializeCompileOnRegisterSwapParity) {

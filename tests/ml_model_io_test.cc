@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "ml/decision_tree.h"
+#include "ml/flat_forest.h"
 #include "ml/metrics.h"
 #include "ml/model_io.h"
 #include "ml/random_forest.h"
@@ -176,6 +183,290 @@ TEST(ModelIoTest, CloneOfRestoredForestRetrains) {
   ASSERT_TRUE(clone->Fit(train).ok());
   EXPECT_EQ(clone->Predict(train.features()),
             forest.Predict(train.features()));
+}
+
+// ------------------------------------------------- Hostile model text --
+
+// One hand-written tree over two features, depth 2:
+//   node 0: x0 <= 0.5 ? node 1 : node 4 (class 1)
+//   node 1: x1 <= 1.5 ? node 2 (class 0) : node 3 (class 1)
+// Each fixture below changes one token or line of it.
+constexpr const char* kHandModel =
+    "trajkit_random_forest v1\n"
+    "params 1 0 0 2 1 0 1 0 42\n"
+    "classes 2\n"
+    "trees 1\n"
+    "tree 2 2\n"
+    "nodes 5\n"
+    "0 0.5 1 4 -1\n"
+    "1 1.5 2 3 -1\n"
+    "-1 0 -1 -1 0\n"
+    "-1 0 -1 -1 1\n"
+    "-1 0 -1 -1 1\n"
+    "distributions 2 2\n"
+    "1 0\n"
+    "0 1\n"
+    "importances 2\n"
+    "0.5 0.5\n";
+
+/// kHandModel with the first occurrence of `from` replaced by `to`.
+std::string HandModelWith(const std::string& from, const std::string& to) {
+  std::string text = kHandModel;
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+void ExpectParseError(const std::string& text, const char* why) {
+  const auto result = RandomForest::Deserialize(text);
+  ASSERT_FALSE(result.ok()) << why;
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError)
+      << why << ": " << result.status().ToString();
+}
+
+TEST(ModelIoTest, HandModelLoadsAndPredictsByHand) {
+  auto forest = RandomForest::Deserialize(kHandModel);
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ASSERT_TRUE(forest->CompileFlat().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // NaN compares false, so it always goes right.
+  const Matrix rows = Matrix::FromRows(
+      {{0.2, 1.0}, {0.2, 2.0}, {0.9, 0.0}, {0.5, 1.5}, {nan, 0.0}, {0.0, nan}});
+  EXPECT_EQ(forest->Predict(rows), (std::vector<int>{0, 1, 1, 0, 1, 1}));
+  EXPECT_EQ(forest->trees()[0].Depth(), 2);
+  EXPECT_EQ(forest->Serialize(), kHandModel);
+}
+
+TEST(ModelIoTest, NegativeOrOversizedCountsRejected) {
+  ExpectParseError(HandModelWith("nodes 5", "nodes -1"), "negative nodes");
+  ExpectParseError(HandModelWith("nodes 5", "nodes 4000000000"),
+                   "node count beyond the lines left");
+  ExpectParseError(HandModelWith("distributions 2 2", "distributions -1 2"),
+                   "negative distributions");
+  ExpectParseError(HandModelWith("distributions 2 2", "distributions 9 2"),
+                   "distribution count beyond the lines left");
+  ExpectParseError(HandModelWith("trees 1", "trees -1"), "negative trees");
+  ExpectParseError(HandModelWith("trees 1", "trees 99"),
+                   "tree count beyond the lines left");
+  ExpectParseError(HandModelWith("importances 2", "importances -1"),
+                   "negative importances");
+  ExpectParseError(HandModelWith("classes 2", "classes 4294967298"),
+                   "class count that wraps to 2 as int");
+}
+
+TEST(ModelIoTest, SplitFeatureOutsideImportanceWidthRejected) {
+  ExpectParseError(HandModelWith("0 0.5 1 4 -1", "9999 0.5 1 4 -1"),
+                   "feature 9999");
+  ExpectParseError(HandModelWith("1 1.5 2 3 -1", "2 1.5 2 3 -1"),
+                   "feature == width");
+  ExpectParseError(HandModelWith("0 0.5 1 4 -1", "4294967296 0.5 1 4 -1"),
+                   "feature that wraps to 0 as int");
+  ExpectParseError(HandModelWith("0 0.5 1 4 -1", "-4294967296 0.5 1 4 -1"),
+                   "negative feature that wraps to 0 as int");
+  ExpectParseError(HandModelWith("-1 0 -1 -1 0", "-2 0 -1 -1 0"),
+                   "leaf feature other than -1");
+}
+
+TEST(ModelIoTest, ChildIndicesMustFormAPreorderTree) {
+  ExpectParseError(HandModelWith("1 1.5 2 3 -1", "1 1.5 0 3 -1"),
+                   "child pointing back at the root");
+  ExpectParseError(HandModelWith("1 1.5 2 3 -1", "1 1.5 1 3 -1"),
+                   "child pointing at itself");
+  ExpectParseError(HandModelWith("0 0.5 1 4 -1", "0 0.5 1 5 -1"),
+                   "child past the node count");
+  ExpectParseError(HandModelWith("0 0.5 1 4 -1", "0 0.5 1 2 -1"),
+                   "node shared by two parents, node 4 orphaned");
+  // Nodes 3 and 4 are each other's parent, detached from the root: every
+  // non-root node still has exactly one parent, so only the index order
+  // rules the cycle out.
+  ExpectParseError(
+      "trajkit_random_forest v1\n"
+      "params 1 0 0 2 1 0 1 0 42\nclasses 2\ntrees 1\n"
+      "tree 2 2\nnodes 7\n"
+      "0 0.5 1 2 -1\n-1 0 -1 -1 0\n-1 0 -1 -1 1\n"
+      "0 0.5 4 5 -1\n0 0.5 3 6 -1\n-1 0 -1 -1 0\n-1 0 -1 -1 1\n"
+      "distributions 2 2\n1 0\n0 1\nimportances 2\n0.5 0.5\n",
+      "cycle detached from the root");
+  // Node 3 is its own only parent.
+  ExpectParseError(
+      "trajkit_random_forest v1\n"
+      "params 1 0 0 2 1 0 1 0 42\nclasses 2\ntrees 1\n"
+      "tree 2 2\nnodes 5\n"
+      "0 0.5 1 2 -1\n-1 0 -1 -1 0\n-1 0 -1 -1 1\n"
+      "0 0.5 3 4 -1\n-1 0 -1 -1 1\n"
+      "distributions 2 2\n1 0\n0 1\nimportances 2\n0.5 0.5\n",
+      "self loop");
+}
+
+TEST(ModelIoTest, HeaderDepthMustEqualLongestPath) {
+  ExpectParseError(HandModelWith("tree 2 2", "tree 2 0"), "depth 0");
+  ExpectParseError(HandModelWith("tree 2 2", "tree 2 3"), "depth 3");
+  ExpectParseError(HandModelWith("tree 2 2", "tree 2 2000000000"),
+                   "depth 2000000000");
+}
+
+// Seeded mutation test for model text. Every mutant of a serialized small
+// forest must either fail to load or load to a forest whose compiled flat
+// form answers bit-identically to the pointer walk (batched and single
+// row) and whose serialization is stable across a second load.
+TEST(ModelIoTest, MutatedModelTextLoadsConsistentlyOrFails) {
+  const Dataset train = MakeBlobs(3, 25, 1.0, 12);
+  RandomForestParams params;
+  params.n_estimators = 4;
+  params.seed = 5;
+  RandomForest original(params);
+  ASSERT_TRUE(original.Fit(train).ok());
+  const std::string text = original.Serialize();
+  const std::vector<std::string_view> line_views = SplitString(text, '\n');
+  const std::vector<std::string> lines(line_views.begin(), line_views.end());
+
+  // Every whitespace-separated numeric token, by (line, field).
+  std::vector<std::vector<std::string>> fields;
+  struct Token {
+    size_t line;
+    size_t field;
+  };
+  std::vector<Token> numeric;
+  for (size_t l = 0; l < lines.size(); ++l) {
+    const std::vector<std::string_view> parts = SplitString(lines[l], ' ');
+    fields.emplace_back(parts.begin(), parts.end());
+    for (size_t f = 0; f < parts.size(); ++f) {
+      if (ParseDouble(parts[f]).ok()) numeric.push_back({l, f});
+    }
+  }
+  ASSERT_GT(numeric.size(), 100u);
+
+  auto join = [](const std::vector<std::vector<std::string>>& rows) {
+    std::string out;
+    for (size_t l = 0; l < rows.size(); ++l) {
+      if (l > 0) out += '\n';
+      for (size_t f = 0; f < rows[l].size(); ++f) {
+        if (f > 0) out += ' ';
+        out += rows[l][f];
+      }
+    }
+    return out;
+  };
+  const char* const kHuge[] = {"2147483648", "4294967297", "-4294967296",
+                               "9223372036854775807", "1e308"};
+
+  // Fixed queries per feature width, including NaN and infinite rows.
+  std::map<size_t, Matrix> queries_by_width;
+  auto queries_for = [&](size_t width) -> const Matrix& {
+    auto it = queries_by_width.find(width);
+    if (it != queries_by_width.end()) return it->second;
+    const size_t cols = std::max<size_t>(width, 1);
+    Matrix q(12, cols);
+    Rng qrng(99);
+    for (size_t r = 0; r < q.rows(); ++r) {
+      for (size_t c = 0; c < cols; ++c) q.At(r, c) = qrng.Gaussian(2.0, 4.0);
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < cols; ++c) {
+      q.At(0, c) = nan;
+      q.At(1, c) = c % 2 == 0 ? inf : -inf;
+    }
+    q.At(2, 0) = nan;
+    return queries_by_width.emplace(width, std::move(q)).first->second;
+  };
+
+  Rng rng(20240613);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  constexpr int kMutants = 2400;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant;
+    std::string what;
+    const uint64_t kind = rng.NextBounded(8);
+    if (kind <= 4) {
+      std::vector<std::vector<std::string>> rows = fields;
+      const size_t pick = rng.NextBounded(numeric.size());
+      const Token& t = numeric[pick];
+      std::string value;
+      switch (kind) {
+        case 0: value = "-1"; break;
+        case 1: value = "0"; break;
+        case 2: value = kHuge[rng.NextBounded(std::size(kHuge))]; break;
+        case 3: value = std::to_string(t.line); break;
+        default: {
+          const size_t other =
+              pick + 1 < numeric.size() && (pick == 0 || rng.NextBounded(2))
+                  ? pick + 1
+                  : pick - 1;
+          value = fields[numeric[other].line][numeric[other].field];
+        }
+      }
+      what = "line " + std::to_string(t.line) + " field " +
+             std::to_string(t.field) + " -> " + value;
+      rows[t.line][t.field] = value;
+      mutant = join(rows);
+    } else if (kind <= 6) {
+      std::vector<std::vector<std::string>> rows = fields;
+      const size_t l = rng.NextBounded(rows.size());
+      if (kind == 5) {
+        rows.erase(rows.begin() + static_cast<long>(l));
+        what = "delete line " + std::to_string(l);
+      } else {
+        rows.insert(rows.begin() + static_cast<long>(l), rows[l]);
+        what = "duplicate line " + std::to_string(l);
+      }
+      mutant = join(rows);
+    } else {
+      mutant = text;
+      const size_t at = rng.NextBounded(mutant.size());
+      mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.NextBounded(8)));
+      what = "flip a bit of byte " + std::to_string(at);
+    }
+    SCOPED_TRACE("mutant " + std::to_string(m) + ": " + what);
+
+    auto loaded = RandomForest::Deserialize(mutant);
+    if (!loaded.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const RandomForest& pointer = *loaded;
+    RandomForest flat = pointer;
+    ASSERT_TRUE(flat.CompileFlat().ok());
+    const Matrix& q = queries_for(pointer.FeatureImportances().size());
+
+    const std::vector<int> want_labels = pointer.Predict(q);
+    const std::vector<int> got_labels = flat.Predict(q);
+    ASSERT_EQ(want_labels, got_labels);
+    const Matrix want = std::move(pointer.PredictProba(q)).value();
+    const Matrix got = std::move(flat.PredictProba(q)).value();
+    const size_t k = static_cast<size_t>(pointer.num_classes());
+    ASSERT_EQ(want.cols(), k);
+    ASSERT_EQ(got.cols(), k);
+    ASSERT_EQ(std::memcmp(want.Row(0).data(), got.Row(0).data(),
+                          q.rows() * k * sizeof(double)),
+              0);
+
+    const double inv = 1.0 / static_cast<double>(pointer.NumTrees());
+    std::vector<double> acc(k);
+    for (size_t r = 0; r < q.rows(); ++r) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      flat.flat()->AccumulateVotes(q.Row(r), inv, acc);
+      ASSERT_EQ(std::memcmp(acc.data(), want.Row(r).data(), k * sizeof(double)),
+                0)
+          << "row " << r;
+      std::fill(acc.begin(), acc.end(), 0.0);
+      flat.flat()->AccumulateVotes(q.Row(r), 1.0, acc);
+      ASSERT_EQ(std::max_element(acc.begin(), acc.end()) - acc.begin(),
+                want_labels[r])
+          << "row " << r;
+    }
+
+    const std::string once = pointer.Serialize();
+    const auto reloaded = RandomForest::Deserialize(once);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    ASSERT_EQ(reloaded->Serialize(), once);
+  }
+  // Both outcomes must actually occur, or the mutations test nothing.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 // ------------------------------------------------ Balanced class weights --

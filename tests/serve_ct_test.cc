@@ -545,6 +545,36 @@ TEST(ServeConfigTest, ValidationNamesTheOffendingFlag) {
                       "--cost_budget");
   expect_error_naming({"--continuous_training", "--drift_degraded_rate=1.5"},
                       "--drift_degraded_rate");
+
+  // A present numeric value must parse in full and fit its field; these
+  // used to fall back to the default or narrow through int.
+  expect_error_naming({"--shards=abc"}, "--shards");
+  expect_error_naming({"--shards=4294967298"}, "--shards");
+  expect_error_naming({"--shards="}, "--shards");
+  expect_error_naming({"--batch=2x"}, "--batch");
+  expect_error_naming({"--users=2147483648"}, "--users");
+  expect_error_naming({"--max_queue=1.5"}, "--max_queue");
+  expect_error_naming({"--max_delay_ms=1ms"}, "--max_delay_ms");
+  expect_error_naming({"--max_delay_ms=nan"}, "--max_delay_ms");
+  expect_error_naming({"--deadline_ms=inf"}, "--deadline_ms");
+  expect_error_naming({"--http_port=70000"}, "--http_port");
+  expect_error_naming({"--http_port=80x"}, "--http_port");
+  expect_error_naming({"--seed=-1"}, "--seed");
+  expect_error_naming({"--seed=18446744073709551616"}, "--seed");
+  expect_error_naming({"--continuous_training", "--ct_seed=abc"},
+                      "--ct_seed");
+  expect_error_naming({"--continuous_training", "--ct_buffer=1e3"},
+                      "--ct_buffer");
+  expect_error_naming({"--continuous_training", "--cost_budget=x"},
+                      "--cost_budget");
+
+  // Seeds keep the full uint64 range.
+  const auto seeds = parse({"--seed=18446744073709551615",
+                            "--continuous_training",
+                            "--ct_seed=18446744073709551614"});
+  ASSERT_TRUE(seeds.ok()) << seeds.status().ToString();
+  EXPECT_EQ(seeds->seed, 18446744073709551615ull);
+  EXPECT_EQ(seeds->ct.seed, 18446744073709551614ull);
 }
 
 TEST(ServeConfigTest, CtFlagsRequireTheMainSwitch) {
@@ -617,8 +647,7 @@ TEST(FlatForestScratchTest, ReuseAcrossRefitsIsBitIdentical) {
       }
     }
     const std::vector<int> tree_walk = model.forest.Predict(probe);
-    ASSERT_TRUE(
-        model.forest.CompileFlat(ml::FlatForestOptions{}, &scratch).ok());
+    ASSERT_TRUE(model.forest.CompileFlat(&scratch).ok());
     ASSERT_NE(model.forest.flat(), nullptr);
     EXPECT_EQ(model.forest.Predict(probe), tree_walk) << "seed " << seed;
   }

@@ -1155,6 +1155,7 @@ TEST(StatuszTest, RendersEverySectionFromRegistryAndTracer) {
   obs::MetricsRegistry metrics;
   metrics.SetInfo("serve.registry.active_version", "test-v7");
   metrics.GetGauge("serve.registry.models").Set(2);
+  metrics.GetGauge("serve.registry.flat_nodes").Set(123);
   metrics.GetCounter("serve.batch_predictor.requests").Increment(10);
   metrics.GetCounter("serve.degraded_total.previous_model").Increment(3);
   metrics.GetHistogram("serve.batch_predictor.latency_seconds")
@@ -1170,6 +1171,9 @@ TEST(StatuszTest, RendersEverySectionFromRegistryAndTracer) {
   const std::string page = RenderStatusPage(metrics, tracer);
   EXPECT_NE(page.find("==== trajkit statusz ===="), std::string::npos);
   EXPECT_NE(page.find("active_version: test-v7"), std::string::npos);
+  EXPECT_NE(page.find("  flat_form: compiled (123 nodes)\n"),
+            std::string::npos)
+      << page;
   EXPECT_NE(page.find("requests: 10"), std::string::npos);
   EXPECT_NE(page.find("previous_model=3"), std::string::npos);
   EXPECT_NE(page.find("exemplar trace 9"), std::string::npos) << page;

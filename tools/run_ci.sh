@@ -15,7 +15,8 @@
 #   4. telemetry determinism + scrape smoke: tick-sampled time-series
 #      dumps and SLO transitions byte-identical at t1/t8 × s1/s8; a
 #      lingering serve-replay's /metrics byte-matches --metrics_prom and
-#      passes tools/check_prom.py, then exits via /quitquitquit
+#      passes tools/check_prom.py, then exits via /quitquitquit; an idle
+#      TCP client stays connected through every scrape
 #   5. chaos smokes: fault-injection replay (sharded) and a
 #      shadow-promotion run under chaos — >= 1 promotion in the trace
 #      export, metrics, and the statusz registry-audit section
@@ -191,7 +192,9 @@ done
 # snapshot over HTTP; /metrics must byte-match the --metrics_prom file
 # (a scrape never mutates what it exports), both must pass the
 # exposition-format lint, and /quitquitquit ends the process cleanly —
-# no signals, no sleeps against a moving target.
+# no signals, no sleeps against a moving target. One idle TCP connection
+# stays open through every scrape: the server must close it at its
+# request deadline instead of stalling the scrapes queued behind it.
 echo "==> scrape smoke: serve-replay --http_port=0 --http_linger"
 "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
   --model="$SHARD_OUT/rf.model" --tick_every=16 --slo_spec="$TELE_SLO" \
@@ -214,9 +217,10 @@ done
 }
 scrape() {
   python3 -c 'import sys, urllib.request
-with urllib.request.urlopen(sys.argv[1]) as response:
+with urllib.request.urlopen(sys.argv[1], timeout=30) as response:
     sys.stdout.buffer.write(response.read())' "http://127.0.0.1:$PORT$1"
 }
+exec {IDLE_FD}<>"/dev/tcp/127.0.0.1/$PORT"
 scrape /metrics > "$TELE_OUT/scrape_metrics.prom"
 cmp "$TELE_OUT/metrics.prom" "$TELE_OUT/scrape_metrics.prom" || {
   echo "scrape smoke: /metrics differs from the --metrics_prom file" >&2
@@ -248,7 +252,8 @@ wait "$SERVE_PID" || {
   echo "scrape smoke: lingering serve-replay exited nonzero" >&2
   exit 1
 }
-echo "scrape smoke: ok (port $PORT)"
+exec {IDLE_FD}>&-
+echo "scrape smoke: ok (port $PORT, with an idle client connected)"
 
 # Fault-injection smoke: a chaos replay must survive (exit 0, every
 # request accounted — the CLI itself fails on a lifecycle leak) AND the
