@@ -1,12 +1,12 @@
 #ifndef TRAJKIT_BENCH_BENCH_COMMON_H_
 #define TRAJKIT_BENCH_BENCH_COMMON_H_
 
-// Shared plumbing of the experiment harnesses: a tiny --flag=value parser,
-// the corpus knobs every experiment accepts, and the --timing_json
-// machine-readable timing emitter. The harness-wide trio
-// --threads/--timing_json/--metrics_json is parsed by the shared
-// common/harness_options.h so every harness, microbenchmark, and the CLI
-// spell them identically. Harnesses are plain executables that print the
+// Shared plumbing of the experiment harnesses: the --timing_json
+// machine-readable timing emitter and DieOnError. Flags come from the
+// library's common/flags.h (every value checked, unknown flags refused)
+// and the shared --threads/--timing_json/--metrics_* set from
+// common/harness_options.h, so every harness, microbenchmark, and the CLI
+// read them identically. Harnesses are plain executables that print the
 // paper's rows; microbenchmarks (micro_*.cc) use google-benchmark instead.
 
 #include <cstdio>
@@ -20,42 +20,32 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/experiments.h"
-#include "obs/metrics.h"
 
 namespace trajkit::bench {
 
-/// The harnesses use the library's --key=value parser and the shared
-/// --threads/--timing_json/--metrics_json trio.
 using ::trajkit::Flags;
 using ::trajkit::HarnessOptions;
 
-/// Corpus knobs shared by all experiments. --users/--days/--seed shrink or
-/// grow the synthetic corpus; the defaults below reproduce the numbers in
-/// EXPERIMENTS.md. --seed accepts the full uint64 range.
-inline synthgeo::GeneratorOptions CorpusOptionsFromFlags(
-    const Flags& flags, int default_users = 60, int default_days = 6) {
-  synthgeo::GeneratorOptions options;
-  options.num_users = flags.GetInt("users", default_users);
-  options.days_per_user = flags.GetInt("days", default_days);
-  options.seed = flags.GetUint64("seed", 7);
-  return options;
-}
+/// Corpus defaults of the experiments (--users/--days/--seed override
+/// them through synthgeo::GeneratorOptionsFromFlags); they reproduce the
+/// numbers in EXPERIMENTS.md.
+constexpr synthgeo::GeneratorOptions kCorpusDefaults{.num_users = 60,
+                                                     .days_per_user = 6};
 
 /// Collects named wall-clock phase timings and, when --timing_json=<path>
 /// was given, writes them as one JSON object — the machine-readable perf
 /// trajectory consumed by BENCH_*.json tooling (tools/check_bench.py):
 ///   {"harness": "...", "threads": N, "timings_s": {"phase": 1.23, ...}}
 /// Record() keeps insertion order; duplicate names are emitted as given.
-/// Write() additionally honors the shared --metrics_json=<path> flag: the
-/// process metrics registry (counters, gauges, latency histograms with
-/// p50/p90/p99) is dumped alongside the timings, so every harness emits
-/// the same structured observability artifact.
+/// Write() additionally honors the shared --metrics_json/--metrics_prom
+/// flags (HarnessOptions::WriteMetrics): the process metrics registry
+/// (counters, gauges, latency histograms with p50/p90/p99) is dumped
+/// alongside the timings, so every harness emits the same structured
+/// observability artifacts.
 class TimingJson {
  public:
   TimingJson(const char* harness, const HarnessOptions& options)
-      : harness_(harness),
-        path_(options.timing_json),
-        metrics_path_(options.metrics_json) {}
+      : harness_(harness), options_(options) {}
 
   /// Records one phase's wall-clock seconds.
   void Record(const std::string& name, double seconds) {
@@ -69,21 +59,16 @@ class TimingJson {
     watch.Reset();
   }
 
-  /// Writes the timing JSON (--timing_json) and the metrics registry dump
-  /// (--metrics_json) if their flags were given; no-ops otherwise. Returns
-  /// false (with a stderr note) when a file cannot be written.
+  /// Writes the timing JSON (--timing_json) and the metric artifacts if
+  /// their flags were given; no-ops otherwise. Returns false (with a
+  /// stderr note) when a file cannot be written.
   bool Write() const {
-    if (!metrics_path_.empty()) {
-      if (!obs::WriteTextFile(metrics_path_,
-                              obs::MetricsRegistry::Global().ToJson())) {
-        return false;
-      }
-      std::printf("metrics written to %s\n", metrics_path_.c_str());
-    }
-    if (path_.empty()) return true;
-    std::FILE* out = std::fopen(path_.c_str(), "w");
+    if (!options_.WriteMetrics()) return false;
+    const std::string& path = options_.timing_json;
+    if (path.empty()) return true;
+    std::FILE* out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
-      std::fprintf(stderr, "timing_json: cannot open '%s'\n", path_.c_str());
+      std::fprintf(stderr, "timing_json: cannot open '%s'\n", path.c_str());
       return false;
     }
     std::fprintf(out, "{\n  \"harness\": \"%s\",\n  \"threads\": %d,\n",
@@ -95,14 +80,13 @@ class TimingJson {
     }
     std::fprintf(out, "\n  }\n}\n");
     std::fclose(out);
-    std::printf("timings written to %s\n", path_.c_str());
+    std::printf("timings written to %s\n", path.c_str());
     return true;
   }
 
  private:
   const char* harness_;
-  std::string path_;
-  std::string metrics_path_;
+  HarnessOptions options_;
   std::vector<std::pair<std::string, double>> entries_;
 };
 

@@ -41,13 +41,14 @@ double RandomCvAccuracy(const ml::Classifier& model,
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 5);
-  const auto generator_options = bench::CorpusOptionsFromFlags(flags);
+  const int folds = flags.GetInt("folds", 5, 2);
+  const synthgeo::GeneratorOptions generator_options =
+      synthgeo::GeneratorOptionsFromFlags(flags, bench::kCorpusDefaults);
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf("=== Ablations (Dabiri labels, random %d-fold CV) ===\n\n",
               folds);
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_ablations", harness);
   Stopwatch total_timer;

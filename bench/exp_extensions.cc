@@ -37,19 +37,20 @@ double CvAccuracy(const ml::Classifier& model, const ml::Dataset& dataset,
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 5);
-  const double scale = flags.GetDouble("scale", 0.5);
+  const int folds = flags.GetInt("folds", 5, 2);
+  const double scale = flags.GetDouble("scale", 0.5, 0.0);
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(flags, bench::kCorpusDefaults);
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf("=== Extensions: segmentation, features, classifiers ===\n\n");
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_extensions", harness);
   Stopwatch total_timer;
   Stopwatch phase_timer;
 
-  synthgeo::GeoLifeLikeGenerator generator(
-      bench::CorpusOptionsFromFlags(flags));
+  synthgeo::GeoLifeLikeGenerator generator(corpus_options);
   const std::vector<traj::Trajectory> corpus = generator.Generate();
   timing.RecordLap("corpus_generate", phase_timer);
   const core::LabelSet labels = core::LabelSet::Dabiri();

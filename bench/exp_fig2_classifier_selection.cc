@@ -31,21 +31,23 @@ namespace {
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 5);
-  const int repeats = flags.GetInt("repeats", 2);
-  const double scale = flags.GetDouble("scale", 1.0);
+  const int folds = flags.GetInt("folds", 5, 2);
+  const int repeats = flags.GetInt("repeats", 2, 1);
+  const double scale = flags.GetDouble("scale", 1.0, 0.0);
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(flags, bench::kCorpusDefaults);
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf(
       "=== Figure 2: classifier selection (random CV, Dabiri labels) ===\n");
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_fig2_classifier_selection", harness);
   Stopwatch total_timer;
   Stopwatch phase_timer;
 
   const auto built = bench::DieOnError(
-      core::BuildSyntheticDataset(bench::CorpusOptionsFromFlags(flags),
+      core::BuildSyntheticDataset(corpus_options,
                                   core::PipelineOptions{},
                                   core::LabelSet::Dabiri()),
       "dataset build");

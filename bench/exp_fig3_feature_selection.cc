@@ -80,28 +80,29 @@ void PrintCurve(const char* title,
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 3);
-  const int trees = flags.GetInt("trees", 15);
-  const int max_features = flags.GetInt("max_features", 30);
+  const int folds = flags.GetInt("folds", 3, 2);
+  const int trees = flags.GetInt("trees", 15, 1);
+  const int max_features = flags.GetInt("max_features", 30, 1);
   const std::string method = flags.GetString("method", "both");
   const std::string out_path =
       flags.GetString("out", "results/fig3_feature_selection.csv");
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(
+          flags, {.num_users = 40, .days_per_user = 4});
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf(
       "=== Figure 3: feature selection (user-oriented CV, Endo labels) "
       "===\n");
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_fig3_feature_selection", harness);
   Stopwatch total_timer;
   Stopwatch phase_timer;
 
   const auto built = bench::DieOnError(
-      core::BuildSyntheticDataset(
-          bench::CorpusOptionsFromFlags(flags, /*default_users=*/40,
-                                        /*default_days=*/4),
-          core::PipelineOptions{}, core::LabelSet::Endo()),
+      core::BuildSyntheticDataset(corpus_options, core::PipelineOptions{},
+                                  core::LabelSet::Endo()),
       "dataset build");
   std::printf("dataset: %zu segments x %zu features\n",
               built.dataset.num_samples(), built.dataset.num_features());

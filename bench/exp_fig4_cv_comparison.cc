@@ -28,22 +28,24 @@ namespace {
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 5);
-  const int repeats = flags.GetInt("repeats", 3);
-  const double scale = flags.GetDouble("scale", 1.0);
+  const int folds = flags.GetInt("folds", 5, 2);
+  const int repeats = flags.GetInt("repeats", 3, 1);
+  const double scale = flags.GetDouble("scale", 1.0, 0.0);
   const std::string classifier_list = flags.GetString("classifiers", "");
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(flags, bench::kCorpusDefaults);
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf(
       "=== Figure 4: random vs user-oriented cross-validation ===\n\n");
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_fig4_cv_comparison", harness);
   Stopwatch total_timer;
   Stopwatch phase_timer;
 
   const auto built = bench::DieOnError(
-      core::BuildSyntheticDataset(bench::CorpusOptionsFromFlags(flags),
+      core::BuildSyntheticDataset(corpus_options,
                                   core::PipelineOptions{},
                                   core::LabelSet::Dabiri()),
       "dataset build");

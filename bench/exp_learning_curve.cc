@@ -23,16 +23,19 @@ namespace {
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 5);
-  const int days = flags.GetInt("days", 4);
-  const int max_users = flags.GetInt("max_users", 60);
-  const double scale = flags.GetDouble("scale", 1.0);
+  const int folds = flags.GetInt("folds", 5, 2);
+  const int max_users = flags.GetInt("max_users", 60, 1);
+  const double scale = flags.GetDouble("scale", 1.0, 0.0);
+  // The sweep sets the user count, so --users is not a flag here.
+  synthgeo::GeneratorOptions generator_options =
+      synthgeo::GeneratorOptionsFromFlags(
+          flags, {.num_users = 0, .days_per_user = 4});
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf(
       "=== Learning curve: corpus size vs accuracy (RF, Dabiri labels) "
       "===\n\n");
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_learning_curve", harness);
   Stopwatch total_timer;
@@ -41,10 +44,7 @@ int Run(int argc, char** argv) {
                       "user_acc", "gap", "seconds"});
   for (int users : {10, 20, 30, 45, 60, 80}) {
     if (users > max_users) break;
-    synthgeo::GeneratorOptions generator_options;
     generator_options.num_users = users;
-    generator_options.days_per_user = days;
-    generator_options.seed = flags.GetUint64("seed", 7);
     Stopwatch timer;
     const auto built = bench::DieOnError(
         core::BuildSyntheticDataset(generator_options,

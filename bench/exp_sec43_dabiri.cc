@@ -31,23 +31,25 @@ namespace {
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int folds = flags.GetInt("folds", 5);
-  const int trees = flags.GetInt("trees", 50);
+  const int folds = flags.GetInt("folds", 5, 2);
+  const int trees = flags.GetInt("trees", 50, 1);
   const double reference = flags.GetDouble("reference", 0.848);
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(flags, bench::kCorpusDefaults);
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf(
       "=== Section 4.3 (ii): comparison with Dabiri & Heaslip [2] ===\n"
       "random %d-fold CV, top-20 features, RF(%d), no noise removal\n\n",
       folds, trees);
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_sec43_dabiri", harness);
   Stopwatch total_timer;
   Stopwatch phase_timer;
 
   const auto built = bench::DieOnError(
-      core::BuildSyntheticDataset(bench::CorpusOptionsFromFlags(flags),
+      core::BuildSyntheticDataset(corpus_options,
                                   core::PipelineOptions{},
                                   core::LabelSet::Dabiri()),
       "dataset build");

@@ -33,23 +33,25 @@ namespace {
 
 int Run(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const int repeats = flags.GetInt("repeats", 7);
-  const int trees = flags.GetInt("trees", 50);
+  const int repeats = flags.GetInt("repeats", 7, 1);
+  const int trees = flags.GetInt("trees", 50, 1);
   const double reference = flags.GetDouble("reference", 0.679);
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(flags, bench::kCorpusDefaults);
+  const auto harness = bench::HarnessOptions::FromFlags(flags);
+  flags.CheckOrExit();
 
   std::printf(
       "=== Section 4.3 (i): comparison with Endo et al. [4] ===\n"
       "disjoint-user 80/20 split, top-20 features, RF(%d)\n\n",
       trees);
-  const bench::HarnessOptions harness =
-      bench::HarnessOptions::FromFlags(flags);
   std::printf("threads: %d\n", harness.ApplyThreads());
   bench::TimingJson timing("exp_sec43_endo", harness);
   Stopwatch total_timer;
   Stopwatch phase_timer;
 
   const auto built = bench::DieOnError(
-      core::BuildSyntheticDataset(bench::CorpusOptionsFromFlags(flags),
+      core::BuildSyntheticDataset(corpus_options,
                                   core::PipelineOptions{},
                                   core::LabelSet::Endo()),
       "dataset build");

@@ -7,10 +7,8 @@
 
 #include <vector>
 
-#include "common/harness_options.h"
+#include "micro_main.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "geo/geodesy.h"
 #include "stats/descriptive.h"
 #include "synthgeo/generator.h"
@@ -123,21 +121,6 @@ BENCHMARK(BM_CorpusGeneration)->Arg(1)->Arg(4);
 }  // namespace
 }  // namespace trajkit
 
-// Expanded BENCHMARK_MAIN so the shared --threads/--timing_json/
-// --metrics_json trio (common/harness_options.h) is accepted and stripped
-// before google-benchmark sees (and rejects) it.
 int main(int argc, char** argv) {
-  const trajkit::HarnessOptions harness =
-      trajkit::HarnessOptions::FromArgv(&argc, argv);
-  harness.ApplyThreads();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!trajkit::obs::WriteMetricsArtifacts(
-          harness.MetricsArtifacts(),
-          trajkit::obs::MetricsRegistry::Global())) {
-    return 1;
-  }
-  return 0;
+  return trajkit::bench::MicrobenchMain(argc, argv);
 }

@@ -11,11 +11,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/harness_options.h"
+#include "micro_main.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "ml/flat_forest.h"
@@ -230,25 +228,11 @@ int RunTimingGate(const trajkit::HarnessOptions& harness) {
 }  // namespace
 }  // namespace trajkit::ml
 
-// Expanded BENCHMARK_MAIN so the shared --threads/--timing_json/
-// --metrics_json trio (common/harness_options.h) is accepted and stripped
-// before google-benchmark sees (and rejects) it.
 int main(int argc, char** argv) {
-  const trajkit::HarnessOptions harness =
-      trajkit::HarnessOptions::FromArgv(&argc, argv);
-  harness.ApplyThreads();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!harness.timing_json.empty()) {
-    const int gate = trajkit::ml::RunTimingGate(harness);
-    if (gate != 0) return gate;
-  }
-  if (!trajkit::obs::WriteMetricsArtifacts(
-          harness.MetricsArtifacts(),
-          trajkit::obs::MetricsRegistry::Global())) {
-    return 1;
-  }
-  return 0;
+  return trajkit::bench::MicrobenchMain(
+      argc, argv, [](const trajkit::HarnessOptions& harness) {
+        return harness.timing_json.empty()
+                   ? 0
+                   : trajkit::ml::RunTimingGate(harness);
+      });
 }

@@ -12,10 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "common/harness_options.h"
+#include "micro_main.h"
 #include "common/parallel.h"
-#include "obs/metrics.h"
-#include "obs/timeseries.h"
 #include "common/rng.h"
 #include "core/experiments.h"
 #include "ml/crossval.h"
@@ -124,23 +122,6 @@ BENCHMARK(BM_CrossValidateThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 }  // namespace
 }  // namespace trajkit
 
-// Expanded BENCHMARK_MAIN so the shared --threads/--timing_json/
-// --metrics_json trio can be stripped before google-benchmark sees (and
-// rejects) it: after the run the process metrics registry (pool
-// chunk/invocation counters, idle seconds, forest fit/predict histograms)
-// is dumped as JSON.
 int main(int argc, char** argv) {
-  const trajkit::HarnessOptions harness =
-      trajkit::HarnessOptions::FromArgv(&argc, argv);
-  harness.ApplyThreads();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!trajkit::obs::WriteMetricsArtifacts(
-          harness.MetricsArtifacts(),
-          trajkit::obs::MetricsRegistry::Global())) {
-    return 1;
-  }
-  return 0;
+  return trajkit::bench::MicrobenchMain(argc, argv);
 }

@@ -52,6 +52,7 @@
 //
 //   ./micro_serve --users=30 --days=4 --timing_json=BENCH_serve.json
 
+#include <climits>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -78,12 +79,20 @@
 namespace trajkit::bench {
 namespace {
 
+/// A comma-separated list of positive ints; exits 2 naming the flag
+/// otherwise.
 std::vector<int> ParseIntList(const Flags& flags, const char* name,
                               const char* fallback) {
   std::vector<int> values;
   const std::string list = flags.GetString(name, fallback);
   for (const std::string_view token : SplitString(list, ',')) {
-    values.push_back(static_cast<int>(DieOnError(ParseInt64(token), name)));
+    const Result<long long> value = ParseInt64(token);
+    if (!value.ok() || *value < 1 || *value > INT_MAX) {
+      std::fprintf(stderr, "micro_serve: --%s=%s: want positive integers\n",
+                   name, list.c_str());
+      std::exit(2);
+    }
+    values.push_back(static_cast<int>(*value));
   }
   return values;
 }
@@ -91,26 +100,36 @@ std::vector<int> ParseIntList(const Flags& flags, const char* name,
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const HarnessOptions harness = HarnessOptions::FromFlags(flags);
+  // Shared serving flag surface (serve/serve_config.h).
+  auto config_or =
+      serve::ParseServeFlags(flags, serve::MicroServeDefaults());
+  const size_t num_requests =
+      static_cast<size_t>(flags.GetInt("requests", 8192, 1));
+  const std::vector<int> shards_list =
+      ParseIntList(flags, "shards_list", "1,8");
+  const std::vector<int> threads_list =
+      ParseIntList(flags, "threads_list", "1,2,4,8");
+  const double require_scaling =
+      flags.GetDouble("require_shard_scaling", 0.0);
+  const double require_overhead =
+      flags.GetDouble("require_shadow_overhead", 0.0);
+  const double require_tick_overhead =
+      flags.GetDouble("require_tick_overhead", 0.0);
+  const double overload_deadline_s =
+      flags.GetDouble("overload_deadline_ms", 20.0, 0.0) * 1e-3;
+  if (!config_or.ok()) {
+    std::fprintf(stderr, "micro_serve: %s\n",
+                 config_or.status().message().c_str());
+    return 2;
+  }
+  flags.CheckOrExit();
+  const serve::ServeConfig& config = config_or.value();
   harness.ApplyThreads();
   harness.ConfigureTracing();
   TimingJson timings("micro_serve", harness);
 
-  // Shared serving flag surface (serve/serve_config.h).
-  auto config_or =
-      serve::ParseServeFlags(flags, serve::MicroServeDefaults());
-  if (!config_or.ok()) {
-    std::fprintf(stderr, "micro_serve: %s\n",
-                 config_or.status().ToString().c_str());
-    return 2;
-  }
-  const serve::ServeConfig& config = config_or.value();
-
   // Corpus + a forest trained offline on the same features.
-  synthgeo::GeneratorOptions generator_options;
-  generator_options.num_users = config.users;
-  generator_options.days_per_user = config.days;
-  generator_options.seed = config.seed;
-  synthgeo::GeoLifeLikeGenerator generator(generator_options);
+  synthgeo::GeoLifeLikeGenerator generator(config.MakeCorpusOptions());
   const std::vector<traj::Trajectory> corpus = generator.Generate();
   const core::LabelSet labels = core::LabelSet::Dabiri();
   const core::Pipeline pipeline;
@@ -161,8 +180,6 @@ int Main(int argc, char** argv) {
   // Prediction phases cycle the segment features into a longer request
   // stream so steady-state batching (not the one trailing deadline stall)
   // is what gets measured.
-  const size_t num_requests = static_cast<size_t>(
-      flags.GetInt("requests", 8192));
   // Closed loop with a bounded in-flight window: keeps the predictor
   // saturated while latency percentiles reflect batching delay, not the
   // depth of a pre-filled queue.
@@ -180,7 +197,7 @@ int Main(int argc, char** argv) {
   double shard1_rate = 0.0;
   double max_shards_rate = 0.0;
   int max_shards = 1;
-  for (const int shards : ParseIntList(flags, "shards_list", "1,8")) {
+  for (const int shards : shards_list) {
     serve::ServingPlaneOptions plane_options;
     plane_options.shards = static_cast<size_t>(shards);
     serve::ServingPlane plane(&registry, plane_options);
@@ -222,8 +239,6 @@ int Main(int argc, char** argv) {
   }
   // Self-gate for the scaling claim: on a machine with the cores to back
   // it, shards must actually buy throughput (CI sizes R to the host).
-  const double require_scaling =
-      flags.GetDouble("require_shard_scaling", 0.0);
   if (require_scaling > 0.0 && shard1_rate > 0.0) {
     const double speedup = max_shards_rate / shard1_rate;
     if (speedup < require_scaling) {
@@ -354,8 +369,6 @@ int Main(int argc, char** argv) {
                 plain_seconds, shadow_seconds, overhead * 100.0,
                 evaluator.window().scored);
     timings.Record("shadow_overhead_t1_s", shadow_seconds);
-    const double require_overhead =
-        flags.GetDouble("require_shadow_overhead", 0.0);
     if (require_overhead > 0.0 && overhead > require_overhead) {
       std::fprintf(stderr,
                    "micro_serve: shadow scoring costs %+.1f%% ingest "
@@ -424,8 +437,6 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(tick_index),
                 store.series_count());
     timings.Record("timeseries_tick_t1_s", ticked_seconds);
-    const double require_tick_overhead =
-        flags.GetDouble("require_tick_overhead", 0.0);
     if (require_tick_overhead > 0.0 && overhead > require_tick_overhead) {
       std::fprintf(stderr,
                    "micro_serve: telemetry ticks cost %+.1f%% ingest "
@@ -441,7 +452,7 @@ int Main(int argc, char** argv) {
               "batched/s", "per-req/s", "direct/s", "p50_ms",
               "p90_ms", "p99_ms");
 
-  for (const int threads : ParseIntList(flags, "threads_list", "1,2,4,8")) {
+  for (const int threads : threads_list) {
     SetMaxThreads(threads);
 
     // Phase B: micro-batched dispatch.
@@ -482,8 +493,6 @@ int Main(int argc, char** argv) {
     // deadline, which keeps the perf-gate keys stable.
     serve::BatchPredictorOptions overload = batching;
     overload.max_queue = 4 * batching.max_batch_size;
-    const double overload_deadline_s =
-        flags.GetDouble("overload_deadline_ms", 20.0) * 1e-3;
     watch.Reset();
     size_t served = 0;
     size_t shed = 0;

@@ -95,21 +95,24 @@ BBoxQuery MakeQuery(Rng& rng) {
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const HarnessOptions harness = HarnessOptions::FromFlags(flags);
+  const size_t num_segments =
+      static_cast<size_t>(flags.GetInt("segments", 20000, 1));
+  const size_t num_queries =
+      static_cast<size_t>(flags.GetInt("queries", 400, 1));
+  const double min_speedup = flags.GetDouble("min_speedup", 10.0);
+  Rng rng(flags.GetUint64("seed", 7));
+  store::TrajectoryStoreOptions options;
+  if (flags.GetBool("str", false)) {
+    options.strategy = store::BulkLoadStrategy::kStr;
+  }
+  options.leaf_fanout = static_cast<size_t>(flags.GetInt(
+      "leaf_fanout", static_cast<int>(options.leaf_fanout), 2));
+  options.fanout = static_cast<size_t>(
+      flags.GetInt("fanout", static_cast<int>(options.fanout), 2));
+  flags.CheckOrExit();
   harness.ApplyThreads();
   TimingJson timings("micro_store", harness);
 
-  const size_t num_segments =
-      static_cast<size_t>(flags.GetInt("segments", 20000));
-  const size_t num_queries = static_cast<size_t>(flags.GetInt("queries", 400));
-  const double min_speedup = flags.GetDouble("min_speedup", 10.0);
-  Rng rng(flags.GetUint64("seed", 7));
-
-  store::TrajectoryStoreOptions options;
-  if (flags.Has("str")) options.strategy = store::BulkLoadStrategy::kStr;
-  options.leaf_fanout = static_cast<size_t>(
-      flags.GetInt("leaf_fanout", static_cast<int>(options.leaf_fanout)));
-  options.fanout =
-      static_cast<size_t>(flags.GetInt("fanout", static_cast<int>(options.fanout)));
   store::TrajectoryStore trajectory_store(options);
 
   std::vector<store::StoredSegment> corpus;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "core/experiments.h"
 #include "core/label_sets.h"
@@ -29,13 +30,9 @@ namespace trajkit {
 namespace {
 
 int Run(int argc, char** argv) {
-  std::string data_root;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (StartsWith(arg, "--data=")) {
-      data_root = std::string(arg.substr(7));
-    }
-  }
+  const Flags flags(argc, argv);
+  std::string data_root = flags.GetString("data", "");
+  flags.CheckOrExit();
 
   if (data_root.empty()) {
     // Export a small synthetic corpus in GeoLife layout.

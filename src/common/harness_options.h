@@ -14,13 +14,14 @@ namespace trajkit {
 /// microbenchmarks, the CLI) accepts, parsed in one place instead of
 /// re-declared per harness:
 ///
-///   --threads=N        bound the shared worker pool (0/absent keeps the
-///                      process default, which honors TRAJKIT_THREADS)
+///   --threads=N        bound the shared worker pool (N >= 0; 0/absent
+///                      keeps the process default, which honors
+///                      TRAJKIT_THREADS)
 ///   --timing_json=F    machine-readable phase timings (bench::TimingJson)
 ///   --metrics_json=F   process metrics registry dump after the run
 ///   --metrics_prom=F   the same dump in Prometheus text exposition
 ///   --timeseries_json=F  time-series store dump (entry points that tick
-///                      a TimeSeriesStore pass it to MetricsArtifacts)
+///                      a TimeSeriesStore pass it to WriteMetrics)
 ///   --trace_json=F     request-trace dump (Chrome trace-event JSON for
 ///                      chrome://tracing / Perfetto); also enables the
 ///                      flight recorder for the run
@@ -40,15 +41,10 @@ struct HarnessOptions {
   uint64_t trace_sample = 1;
   size_t trace_buffer = 8192;
 
-  /// Reads the shared flags from parsed flags.
+  /// Reads the shared flags (errors are kept by `flags`, see Flags).
   static HarnessOptions FromFlags(const Flags& flags);
 
-  /// Parses the shared flags directly from argv and REMOVES the matched
-  /// arguments (for mains that hand the remaining argv to another flag
-  /// parser, e.g. google-benchmark, which rejects flags it does not know).
-  static HarnessOptions FromArgv(int* argc, char** argv);
-
-  /// Applies --threads (no-op for <= 0) and returns the effective pool
+  /// Applies --threads (no-op for 0) and returns the effective pool
   /// budget. Call once, before any dataset/model work.
   int ApplyThreads() const;
 
@@ -58,28 +54,23 @@ struct HarnessOptions {
   }
 
   /// Configures the global RequestTracer from the --trace_* flags (no-op
-  /// when no trace output was requested — tracing stays disabled and the
-  /// serve path is bit-identical to an untraced run). Call before serving.
-  void ConfigureTracing() const;
+  /// when no trace output was requested and `always` is false — tracing
+  /// stays disabled and the serve path is bit-identical to an untraced
+  /// run). Call before serving.
+  void ConfigureTracing(bool always = false) const;
 
   /// Writes --trace_json / --trace_test from the global tracer if
   /// requested. Returns false (with a stderr note) when a file cannot be
   /// written.
   bool DumpTrace() const;
 
-  /// The metric-artifact flags as obs::WriteMetricsArtifacts options.
-  /// `timeseries` wires the store of entry points that tick one (nullptr
-  /// otherwise — --timeseries_json then fails loudly instead of writing
-  /// nothing).
-  obs::MetricsArtifactOptions MetricsArtifacts(
-      const obs::TimeSeriesStore* timeseries = nullptr) const {
-    obs::MetricsArtifactOptions artifacts;
-    artifacts.metrics_json = metrics_json;
-    artifacts.metrics_prom = metrics_prom;
-    artifacts.timeseries_json = timeseries_json;
-    artifacts.timeseries = timeseries;
-    return artifacts;
-  }
+  /// Writes the --metrics_json / --metrics_prom / --timeseries_json
+  /// artifacts of the global registry (obs::WriteMetricsArtifacts; absent
+  /// flags are skipped) and notes each file on stdout. `timeseries` is the
+  /// store of entry points that tick one (nullptr otherwise —
+  /// --timeseries_json then fails loudly instead of writing nothing).
+  /// Returns false on a write failure.
+  bool WriteMetrics(const obs::TimeSeriesStore* timeseries = nullptr) const;
 };
 
 }  // namespace trajkit

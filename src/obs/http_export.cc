@@ -18,37 +18,54 @@
 namespace trajkit::obs {
 namespace {
 
-/// How long one connection may take to deliver its request line. The
-/// server answers one connection at a time, so this bounds how long an
-/// idle or slow-drip client can hold up every other scrape.
-constexpr std::chrono::milliseconds kRequestDeadline{1000};
+/// How long one connection may take to deliver its request line and take
+/// its response. The server answers one connection at a time, so this
+/// bounds how long an idle, slow-drip or never-reading client can hold up
+/// every other scrape.
+constexpr std::chrono::milliseconds kConnectionDeadline{1000};
 
-/// Writes the whole buffer, retrying on EINTR; best-effort (a scraper
-/// that hangs up mid-response is its own problem). MSG_NOSIGNAL keeps a
-/// mid-response hangup from raising SIGPIPE at the process.
-void WriteAll(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    data.remove_prefix(static_cast<size_t>(n));
+}  // namespace
+
+bool HttpExportServer::WaitFor(int fd, short events) const {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline_ - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd fds[2];
+    fds[0] = {fd, events, 0};
+    fds[1] = {wake_pipe_[0], POLLIN, 0};
+    const int ready = ::poll(fds, 2, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    return ready > 0 && fds[1].revents == 0;
   }
 }
 
-void WriteResponse(int fd, const char* status, const char* content_type,
-                   std::string_view body) {
+/// Best-effort (a scraper that hangs up mid-response is its own problem).
+/// MSG_DONTWAIT keeps a full socket buffer from blocking past the
+/// deadline; MSG_NOSIGNAL keeps a mid-response hangup from raising SIGPIPE
+/// at the process.
+void HttpExportServer::WriteResponse(int fd, const char* status,
+                                     const char* content_type,
+                                     std::string_view body) const {
   char header[256];
   std::snprintf(header, sizeof(header),
                 "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
                 "Connection: close\r\n\r\n",
                 status, content_type, body.size());
-  WriteAll(fd, header);
-  WriteAll(fd, body);
+  for (std::string_view data : {std::string_view(header), body}) {
+    while (!data.empty()) {
+      const ssize_t n = ::send(fd, data.data(), data.size(),
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n >= 0) {
+        data.remove_prefix(static_cast<size_t>(n));
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        if (!WaitFor(fd, POLLOUT)) return;
+      } else if (errno != EINTR) {
+        return;
+      }
+    }
+  }
 }
-
-}  // namespace
 
 HttpExportServer::~HttpExportServer() { Stop(); }
 
@@ -135,25 +152,18 @@ void HttpExportServer::AcceptLoop() {
 
 void HttpExportServer::HandleConnection(int fd) {
   // Read until the end of headers (or 8 KiB — request lines we serve are
-  // tiny). One request per connection, HTTP/1.0 style. Each read waits on
-  // the client and the wake pipe together, bounded by the connection's
-  // deadline: a client that has not sent its request line by then is
-  // closed unanswered, and Stop() never waits on a client.
-  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  // tiny). One request per connection, HTTP/1.0 style. Each read and each
+  // write waits on the client and the wake pipe together, bounded by the
+  // connection's deadline: a client that has not sent its request line or
+  // taken its response by then is closed, and Stop() never waits on a
+  // client.
+  deadline_ = std::chrono::steady_clock::now() + kConnectionDeadline;
   std::string request;
   char buffer[1024];
   while (request.size() < 8192 &&
          request.find("\r\n\r\n") == std::string::npos &&
          request.find('\n') == std::string::npos) {
-    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) return;
-    pollfd fds[2];
-    fds[0] = {fd, POLLIN, 0};
-    fds[1] = {wake_pipe_[0], POLLIN, 0};
-    const int ready = ::poll(fds, 2, static_cast<int>(left.count()));
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0 || fds[1].revents != 0) return;
+    if (!WaitFor(fd, POLLIN)) return;
     const ssize_t n = ::read(fd, buffer, sizeof(buffer));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

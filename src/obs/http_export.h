@@ -24,19 +24,21 @@
 // dump taken a moment earlier.
 //
 // Connections are served one at a time. Each gets a fixed deadline
-// (one second) to send its request line and is closed unanswered when it
-// expires, so an idle or slow-drip client delays other scrapes by at most
-// that long instead of stalling the server.
+// (one second) to send its request and take its response, and is closed
+// when it expires, so an idle, slow or non-reading client delays other
+// scrapes by at most that long instead of stalling the server.
 //
-// Shutdown: Stop() pokes a self-pipe that the accept loop and the request
-// read both poll alongside their socket, then joins the thread — clean
-// and test-joinable even with a client connected, never relying on
-// close() waking accept().
+// Shutdown: Stop() pokes a self-pipe that the accept loop, the request
+// read and the response write all poll alongside their socket, then joins
+// the thread — clean and test-joinable even with a client connected,
+// never relying on close() waking accept().
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -94,6 +96,13 @@ class HttpExportServer {
   void HandleConnection(int fd);
   /// Routes one request path to (status line, content type, body).
   void Respond(int fd, const std::string& path);
+  /// Waits until `fd` is ready for `events`; false once the connection's
+  /// deadline passes or Stop() pokes the wake pipe.
+  bool WaitFor(int fd, short events) const;
+  /// Writes the response without blocking past WaitFor's limits; a client
+  /// that stops reading is abandoned at the deadline.
+  void WriteResponse(int fd, const char* status, const char* content_type,
+                     std::string_view body) const;
 
   HttpExportOptions options_;
   int listen_fd_ = -1;
@@ -102,6 +111,8 @@ class HttpExportServer {
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> requests_{0};
   std::thread thread_;
+  /// The current connection's deadline (server thread only).
+  std::chrono::steady_clock::time_point deadline_;
 };
 
 }  // namespace trajkit::obs

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <utility>
 
+#include "common/strings.h"
 #include "obs/request_trace.h"
 
 namespace trajkit::obs {
@@ -28,20 +29,23 @@ std::vector<std::string> SplitList(std::string_view text, char sep) {
   return out;
 }
 
-bool ParseDouble(std::string_view value, double* out) {
-  char buffer[64];
-  if (value.empty() || value.size() >= sizeof(buffer)) return false;
-  std::copy(value.begin(), value.end(), buffer);
-  buffer[value.size()] = '\0';
-  char* end = nullptr;
-  *out = std::strtod(buffer, &end);
-  return end == buffer + value.size() && std::isfinite(*out);
+bool ReadFinite(std::string_view value, double* out) {
+  const Result<double> parsed = ParseDouble(value);
+  if (!parsed.ok() || !std::isfinite(*parsed)) return false;
+  *out = *parsed;
+  return true;
 }
 
-bool ParseSize(std::string_view value, size_t* out) {
-  double v = 0.0;
-  if (!ParseDouble(value, &v) || v < 0 || v != std::floor(v)) return false;
-  *out = static_cast<size_t>(v);
+/// Windows count ticks, and no time-series ring holds more than INT_MAX
+/// ticks (--timeseries_capacity), so a longer window is an error.
+bool ReadWindow(std::string_view value, size_t* out) {
+  const Result<unsigned long long> parsed = ParseUint64(value);
+  if (!parsed.ok() || *parsed < 1 ||
+      *parsed > static_cast<unsigned long long>(
+                    std::numeric_limits<int>::max())) {
+    return false;
+  }
+  *out = static_cast<size_t>(*parsed);
   return true;
 }
 
@@ -83,7 +87,7 @@ bool ParseSloSpecs(std::string_view text, std::vector<SloSpec>* specs,
         ok = !value.empty();
       } else if (key == "ceiling_ms") {
         double ms = 0.0;
-        ok = ParseDouble(value, &ms) && ms > 0;
+        ok = ReadFinite(value, &ms) && ms > 0;
         spec.ceiling_seconds = ms / 1000.0;
       } else if (key == "bad") {
         spec.bad = SplitList(value, '+');
@@ -92,14 +96,14 @@ bool ParseSloSpecs(std::string_view text, std::vector<SloSpec>* specs,
         spec.total = SplitList(value, '+');
         ok = !spec.total.empty() && !spec.total.front().empty();
       } else if (key == "budget") {
-        ok = ParseDouble(value, &spec.budget) && spec.budget > 0 &&
+        ok = ReadFinite(value, &spec.budget) && spec.budget > 0 &&
              spec.budget <= 1;
       } else if (key == "fast") {
-        ok = ParseSize(value, &spec.fast_window) && spec.fast_window >= 1;
+        ok = ReadWindow(value, &spec.fast_window);
       } else if (key == "slow") {
-        ok = ParseSize(value, &spec.slow_window) && spec.slow_window >= 1;
+        ok = ReadWindow(value, &spec.slow_window);
       } else if (key == "burn") {
-        ok = ParseDouble(value, &spec.burn_threshold) &&
+        ok = ReadFinite(value, &spec.burn_threshold) &&
              spec.burn_threshold > 0;
       } else {
         *error = "SLO \"" + spec.name + "\": unknown key \"" + key + "\"";

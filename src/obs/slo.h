@@ -25,7 +25,8 @@
 //   type=ratio            bad=<counter>[+<counter>...] total=<counter>[+...]
 //   budget=<fraction>     (allowed bad fraction, default 0.01)
 //   fast=<ticks>          (fast window, default 8)
-//   slow=<ticks>          (slow window, default 64)
+//   slow=<ticks>          (slow window, default 64; windows are
+//                         integers in [1, 2^31 - 1])
 //   burn=<rate>           (breach threshold, default 1.0)
 // e.g. "p99:type=latency,metric=serve.batch_predictor.latency_seconds,
 //       ceiling_ms=50,budget=0.05;shed:type=ratio,

@@ -1,5 +1,6 @@
 #include "serve/fault_injector.h"
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,7 @@ Status BadSpec(std::string_view spec, const std::string& why) {
 
 Result<double> ParseProbability(std::string_view value) {
   TRAJKIT_ASSIGN_OR_RETURN(const double p, ParseDouble(value));
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {
     return Status::InvalidArgument(
         StrPrintf("probability %g outside [0, 1]", p));
   }
@@ -39,9 +40,9 @@ Result<FaultSpec> FaultSpec::Parse(std::string_view spec) {
       if (eq == std::string_view::npos) {
         return BadSpec(spec, "seed needs a value (seed=N)");
       }
-      auto seed = ParseInt64(clause.substr(eq + 1));
+      auto seed = ParseUint64(clause.substr(eq + 1));
       if (!seed.ok()) return BadSpec(spec, seed.status().message());
-      parsed.seed = static_cast<uint64_t>(seed.value());
+      parsed.seed = seed.value();
       continue;
     }
     if (colon == std::string_view::npos) {
@@ -79,8 +80,9 @@ Result<FaultSpec> FaultSpec::Parse(std::string_view spec) {
         if (!parsed_latency.ok()) {
           return BadSpec(spec, parsed_latency.status().message());
         }
-        if (parsed_latency.value() < 0.0) {
-          return BadSpec(spec, "latency_ms must be >= 0");
+        if (!std::isfinite(parsed_latency.value()) ||
+            parsed_latency.value() < 0.0) {
+          return BadSpec(spec, "latency_ms must be finite and >= 0");
         }
         *latency_ms = parsed_latency.value();
       } else {

@@ -38,7 +38,9 @@ struct FaultSpec {
   uint64_t seed = 1234;
 
   /// Parses the spec syntax above; InvalidArgument on unknown clauses,
-  /// unknown keys, malformed numbers, or probabilities outside [0, 1].
+  /// unknown keys, malformed numbers, probabilities outside [0, 1] (NaN
+  /// included), latencies that are negative or not finite, or a seed that
+  /// is not an unsigned 64-bit integer.
   static Result<FaultSpec> Parse(std::string_view spec);
 };
 

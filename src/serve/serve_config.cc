@@ -1,94 +1,23 @@
 #include "serve/serve_config.h"
 
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "common/strings.h"
 
 namespace trajkit::serve {
-namespace {
 
-// Flag readers: an absent flag takes its fallback; a present value must
-// parse in full (Flags' own getters silently fall back or narrow). Every
-// value, fallback included, is then bounds-checked. Each error is an
-// InvalidArgument naming the flag.
-
-/// Integer flags keep the int range they always had (the fields that are
-/// size_t were parsed through int too), so a value past INT_MAX is an
-/// error rather than a wrapped or enormous shard/batch count.
-template <typename T>
-Status ReadInt(const Flags& flags, const char* name, T fallback,
-               long long lo, T* out,
-               long long hi = std::numeric_limits<int>::max()) {
-  long long value = static_cast<long long>(fallback);
-  if (flags.Has(name)) {
-    const std::string text = flags.GetString(name, "");
-    const Result<long long> parsed = ParseInt64(text);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument(
-          StrPrintf("--%s=%s is not an integer", name, text.c_str()));
-    }
-    value = *parsed;
-  }
-  if (value < lo || value > hi) {
-    return Status::InvalidArgument(StrPrintf(
-        "--%s must be in [%lld, %lld] (got %lld)", name, lo, hi, value));
-  }
-  *out = static_cast<T>(value);
-  return Status::Ok();
-}
-
-/// Full-range unsigned flags (seeds).
-Status ReadUint64(const Flags& flags, const char* name, uint64_t fallback,
-                  uint64_t* out) {
-  *out = fallback;
-  if (!flags.Has(name)) return Status::Ok();
-  const std::string text = flags.GetString(name, "");
-  const Result<unsigned long long> parsed = ParseUint64(text);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument(StrPrintf(
-        "--%s=%s is not an unsigned 64-bit integer", name, text.c_str()));
-  }
-  *out = *parsed;
-  return Status::Ok();
-}
-
-/// Finite double flags with an inclusive lower bound (NaN never passes).
-Status ReadDouble(const Flags& flags, const char* name, double fallback,
-                  double lo, double* out) {
-  double value = fallback;
-  if (flags.Has(name)) {
-    const std::string text = flags.GetString(name, "");
-    const Result<double> parsed = ParseDouble(text);
-    if (!parsed.ok() || !std::isfinite(*parsed)) {
-      return Status::InvalidArgument(
-          StrPrintf("--%s=%s is not a finite number", name, text.c_str()));
-    }
-    value = *parsed;
-  }
-  if (!(value >= lo)) {
-    return Status::InvalidArgument(
-        StrPrintf("--%s must be >= %g (got %g)", name, lo, value));
-  }
-  *out = value;
-  return Status::Ok();
-}
-
-}  // namespace
-
-ServeConfigDefaults ServeReplayDefaults() {
+ServeConfig ServeReplayDefaults() {
   // Historic serve-replay defaults: unbounded queue, single shard, no
   // deadline/retries/chaos; synthetic fallback corpus is 20 users x 4
   // days.
-  ServeConfigDefaults defaults;
-  return defaults;
+  return ServeConfig();
 }
 
-ServeConfigDefaults StatuszDefaults() {
+ServeConfig StatuszDefaults() {
   // Historic statusz demo defaults: a small chaotic sharded run whose
-  // artifacts exercise every section of the page.
-  ServeConfigDefaults defaults;
+  // artifacts exercise every section of the page, with a p99 latency
+  // ceiling and a shed-rate ceiling as its SLOs.
+  ServeConfig defaults;
   defaults.users = 6;
   defaults.days = 2;
   defaults.batch = 16;
@@ -97,18 +26,23 @@ ServeConfigDefaults StatuszDefaults() {
   defaults.shards = 2;
   defaults.deadline_ms = 50.0;
   defaults.retries = 1;
-  defaults.fault_spec =
+  defaults.fault_spec_text =
       "swap_stall:p=0.15,latency_ms=2;predict_fail:p=0.15;"
       "batch_delay:p=0.2,latency_ms=1;seed=11";
+  defaults.slo_spec_text =
+      "latency_p99:type=latency,metric=serve.batch_predictor.latency_seconds,"
+      "ceiling_ms=50,budget=0.05,fast=4,slow=16;"
+      "shed:type=ratio,bad=serve.shed_total.queue_full+"
+      "serve.shed_total.preempted,total=serve.batch_predictor.requests,"
+      "budget=0.02,fast=4,slow=16";
   return defaults;
 }
 
-ServeConfigDefaults MicroServeDefaults() {
+ServeConfig MicroServeDefaults() {
   // Historic micro_serve defaults: 30 users x 4 days, a 50-tree forest,
   // no chaos.
-  ServeConfigDefaults defaults;
+  ServeConfig defaults;
   defaults.users = 30;
-  defaults.days = 4;
   defaults.trees = 50;
   return defaults;
 }
@@ -130,10 +64,14 @@ ContinuousTrainingOptions ContinuousTrainingConfig::MakeOptions() const {
   return options;
 }
 
+synthgeo::GeneratorOptions ServeConfig::MakeCorpusOptions() const {
+  return {.num_users = users, .days_per_user = days, .seed = seed};
+}
+
 BatchPredictorOptions ServeConfig::MakeBatchingOptions() const {
   BatchPredictorOptions batching;
   batching.max_batch_size = batch;
-  batching.max_delay_seconds = max_delay_seconds;
+  batching.max_delay_seconds = max_delay_ms * 1e-3;
   batching.max_queue = max_queue;
   return batching;
 }
@@ -149,51 +87,53 @@ ServingPlaneOptions ServeConfig::MakePlaneOptions() const {
 
 ReplayOptions ServeConfig::MakeReplayOptions() const {
   ReplayOptions replay;
-  replay.deadline_seconds = deadline_seconds;
+  replay.deadline_seconds = deadline_ms * 1e-3;
   replay.retry_budget = retries;
   return replay;
 }
 
 Result<ServeConfig> ParseServeFlags(const Flags& flags,
-                                    const ServeConfigDefaults& defaults) {
-  constexpr double kAny = -std::numeric_limits<double>::infinity();
-  ServeConfig config;
-  double max_delay_ms = 0.0;
-  double deadline_ms = 0.0;
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "users", defaults.users, 1, &config.users));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "days", defaults.days, 1, &config.days));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadUint64(flags, "seed", defaults.seed, &config.seed));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "trees", defaults.trees, 1, &config.trees));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "batch", defaults.batch, 1, &config.batch));
-  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "max_delay_ms",
-                                     defaults.max_delay_ms, 0.0,
-                                     &max_delay_ms));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "max_queue", defaults.max_queue, 0, &config.max_queue));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "shards", defaults.shards, 1, &config.shards));
-  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "gap", defaults.gap_seconds, 0.0,
-                                     &config.gap_seconds));
-  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "max_window", defaults.max_window,
-                                  0, &config.max_window));
-  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "deadline_ms",
-                                     defaults.deadline_ms, 0.0,
-                                     &deadline_ms));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "retries", defaults.retries, 0, &config.retries));
-  config.max_delay_seconds = max_delay_ms * 1e-3;
-  config.deadline_seconds = deadline_ms * 1e-3;
-
+                                    const ServeConfig& defaults) {
+  // Counts keep the int range they always had, so a value past INT_MAX is
+  // an error rather than an enormous shard or batch count.
+  const auto count = [&flags](const char* name, size_t fallback,
+                              size_t lo) {
+    return static_cast<size_t>(flags.GetInt(
+        name, static_cast<int>(fallback), static_cast<int>(lo)));
+  };
+  ServeConfig config = defaults;
+  config.fault_spec.reset();  // Both are parsed from the texts below.
+  config.slo_specs.clear();
+  const synthgeo::GeneratorOptions corpus =
+      synthgeo::GeneratorOptionsFromFlags(flags, defaults.MakeCorpusOptions());
+  config.users = corpus.num_users;
+  config.days = corpus.days_per_user;
+  config.seed = corpus.seed;
+  config.trees = flags.GetInt("trees", defaults.trees, 1);
+  config.batch = count("batch", defaults.batch, 1);
+  config.max_delay_ms =
+      flags.GetDouble("max_delay_ms", defaults.max_delay_ms, 0.0);
+  config.max_queue = count("max_queue", defaults.max_queue, 0);
+  config.shards = count("shards", defaults.shards, 1);
+  config.gap_seconds = flags.GetDouble("gap", defaults.gap_seconds, 0.0);
+  config.max_window = count("max_window", defaults.max_window, 0);
+  config.deadline_ms =
+      flags.GetDouble("deadline_ms", defaults.deadline_ms, 0.0);
+  config.retries = flags.GetInt("retries", defaults.retries, 0);
   // An explicit --fault_spec (even an empty one, which disables the
   // entry point's default chaos) beats the defaults.
-  config.fault_spec_text = flags.Has("fault_spec")
-                               ? flags.GetString("fault_spec", "")
-                               : defaults.fault_spec;
+  config.fault_spec_text =
+      flags.GetString("fault_spec", defaults.fault_spec_text);
+  config.http_port = flags.GetInt("http_port", defaults.http_port, -1, 65535);
+  config.http_linger = flags.GetBool("http_linger", defaults.http_linger);
+  config.slo_spec_text = flags.GetString("slo_spec", defaults.slo_spec_text);
+  config.timeseries_capacity =
+      count("timeseries_capacity", defaults.timeseries_capacity, 2);
+  config.tick_every = count("tick_every", defaults.tick_every, 1);
+  config.ct.enabled =
+      flags.GetBool("continuous_training", defaults.ct.enabled);
+  TRAJKIT_RETURN_IF_ERROR(flags.status());
+
   if (!config.fault_spec_text.empty()) {
     auto spec = FaultSpec::Parse(config.fault_spec_text);
     if (!spec.ok()) {
@@ -202,16 +142,9 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
     }
     config.fault_spec = spec.value();
   }
-
-  // Telemetry plane.
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "http_port", -1, -1, &config.http_port, 65535));
-  config.http_linger = flags.GetBool("http_linger", false);
   if (config.http_linger && config.http_port < 0) {
-    return Status::InvalidArgument(
-        "--http_linger requires --http_port");
+    return Status::InvalidArgument("--http_linger requires --http_port");
   }
-  config.slo_spec_text = flags.GetString("slo_spec", "");
   if (!config.slo_spec_text.empty()) {
     std::string error;
     if (!obs::ParseSloSpecs(config.slo_spec_text, &config.slo_specs,
@@ -220,15 +153,9 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
           StrPrintf("--slo_spec: %s", error.c_str()));
     }
   }
-  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "timeseries_capacity",
-                                  config.timeseries_capacity, 2,
-                                  &config.timeseries_capacity));
-  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "tick_every", config.tick_every, 1,
-                                  &config.tick_every));
 
   // Continuous training: every knob requires the main switch, so a typo'd
   // or stray CT flag fails loudly instead of silently doing nothing.
-  config.ct.enabled = flags.GetBool("continuous_training", false);
   static constexpr const char* kCtOnlyFlags[] = {
       "step_every",    "refit_every",     "min_fit",
       "min_shadow",    "promote_epsilon", "cost_budget",
@@ -245,50 +172,32 @@ Result<ServeConfig> ParseServeFlags(const Flags& flags,
     return config;
   }
 
+  // Bounds that depend on another flag apply to the defaults too: a
+  // --step_every above the default --refit_every is an error.
   ContinuousTrainingConfig& ct = config.ct;
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "step_every", ct.step_every, 1, &ct.step_every));
-  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "refit_every", ct.refit_every,
-                                  ct.step_every, &ct.refit_every));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "min_fit", ct.min_fit, 1, &ct.min_fit));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "min_shadow", ct.min_shadow, 1, &ct.min_shadow));
-
-  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "promote_epsilon",
-                                     ct.promote_epsilon, kAny,
-                                     &ct.promote_epsilon));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadDouble(flags, "cost_budget", ct.cost_budget, kAny, &ct.cost_budget));
+  ct.step_every = count("step_every", ct.step_every, 1);
+  ct.refit_every = count("refit_every", ct.refit_every, ct.step_every);
+  ct.min_fit = count("min_fit", ct.min_fit, 1);
+  ct.min_shadow = count("min_shadow", ct.min_shadow, 1);
+  ct.promote_epsilon = flags.GetDouble("promote_epsilon", ct.promote_epsilon);
+  ct.cost_budget = flags.GetDouble("cost_budget", ct.cost_budget);
+  ct.trees = flags.GetInt("ct_trees", ct.trees, 1);
+  ct.seed = flags.GetUint64("ct_seed", ct.seed);
+  ct.buffer = count("ct_buffer", ct.buffer, ct.min_fit);
+  ct.drift_window = count("drift_window", ct.drift_window, 1);
+  ct.drift_threshold = flags.GetDouble("drift_threshold", ct.drift_threshold);
+  ct.drift_degraded_rate =
+      flags.GetDouble("drift_degraded_rate", ct.drift_degraded_rate, 0.0, 1.0);
+  TRAJKIT_RETURN_IF_ERROR(flags.status());
+  // Open lower bounds, which an inclusive range cannot state.
   if (ct.cost_budget <= 0.0) {
     return Status::InvalidArgument(StrPrintf(
         "--cost_budget must be > 0 (got %g)", ct.cost_budget));
   }
-
-  TRAJKIT_RETURN_IF_ERROR(ReadInt(flags, "ct_trees", ct.trees, 1, &ct.trees));
-  TRAJKIT_RETURN_IF_ERROR(ReadUint64(flags, "ct_seed", ct.seed, &ct.seed));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "ct_buffer", ct.buffer, ct.min_fit, &ct.buffer));
-  TRAJKIT_RETURN_IF_ERROR(
-      ReadInt(flags, "drift_window", ct.drift_window, 1, &ct.drift_window));
-
-  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "drift_threshold",
-                                     ct.drift_threshold, kAny,
-                                     &ct.drift_threshold));
   if (ct.drift_threshold <= 0.0) {
     return Status::InvalidArgument(StrPrintf(
         "--drift_threshold must be > 0 (got %g)", ct.drift_threshold));
   }
-
-  TRAJKIT_RETURN_IF_ERROR(ReadDouble(flags, "drift_degraded_rate",
-                                     ct.drift_degraded_rate, 0.0,
-                                     &ct.drift_degraded_rate));
-  if (ct.drift_degraded_rate > 1.0) {
-    return Status::InvalidArgument(
-        StrPrintf("--drift_degraded_rate must be in [0, 1] (got %g)",
-                  ct.drift_degraded_rate));
-  }
-
   return config;
 }
 

@@ -1,18 +1,15 @@
 #ifndef TRAJKIT_SERVE_SERVE_CONFIG_H_
 #define TRAJKIT_SERVE_SERVE_CONFIG_H_
 
-// One shared flag surface for every serving entry point. `serve-replay`,
-// `statusz`, and `micro_serve` used to each hand-roll the same dozen
-// flags with drifting defaults; ParseServeFlags collapses them into a
-// validated ServeConfig (invalid values or combinations come back as
-// InvalidArgument naming the offending flag). Entry points differ only in
-// their ServeConfigDefaults.
+// The serving flags of `serve-replay`, `statusz`, and `micro_serve`:
+// ParseServeFlags reads them through Flags (which checks each value) into
+// a ServeConfig and adds the rules that span flags. Entry points differ
+// only in the ServeConfig of defaults they pass.
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
-
 #include <vector>
 
 #include "common/flags.h"
@@ -23,32 +20,9 @@
 #include "serve/fault_injector.h"
 #include "serve/replay.h"
 #include "serve/serving_plane.h"
+#include "synthgeo/generator.h"
 
 namespace trajkit::serve {
-
-/// Per-entry-point defaults. Values are what the entry point used before
-/// the consolidation, so flagless invocations behave identically.
-struct ServeConfigDefaults {
-  int users = 20;
-  int days = 4;
-  uint64_t seed = 7;
-  int trees = 15;
-  size_t batch = 64;
-  double max_delay_ms = 2.0;
-  size_t max_queue = 0;
-  size_t shards = 1;
-  double gap_seconds = 0.0;
-  size_t max_window = 0;
-  double deadline_ms = 0.0;
-  int retries = 0;
-  /// Default chaos spec; non-empty = chaos on unless --fault_spec=
-  /// (empty value) disables it.
-  std::string fault_spec;
-};
-
-ServeConfigDefaults ServeReplayDefaults();
-ServeConfigDefaults StatuszDefaults();
-ServeConfigDefaults MicroServeDefaults();
 
 /// The --continuous_training flag family (all require the main switch).
 struct ContinuousTrainingConfig {
@@ -79,7 +53,7 @@ struct ServeConfig {
 
   // Batching + admission.
   size_t batch = 64;
-  double max_delay_seconds = 0.002;
+  double max_delay_ms = 2.0;
   size_t max_queue = 0;
 
   // Plane + session layer.
@@ -88,11 +62,12 @@ struct ServeConfig {
   size_t max_window = 0;
 
   // Request lifecycle.
-  double deadline_seconds = 0.0;
+  double deadline_ms = 0.0;
   int retries = 0;
 
-  // Chaos. `fault_spec` is parsed from `fault_spec_text` (empty = off);
-  // the FaultInjector itself is built by the caller so its lifetime can
+  // Chaos. `fault_spec` is parsed from `fault_spec_text` (empty = off; a
+  // default spec stays on unless --fault_spec= is given empty); the
+  // FaultInjector itself is built by the caller so its lifetime can
   // outlive the plane.
   std::string fault_spec_text;
   std::optional<FaultSpec> fault_spec;
@@ -114,6 +89,8 @@ struct ServeConfig {
 
   ContinuousTrainingConfig ct;
 
+  /// The synthetic corpus of entry points that generate one.
+  synthgeo::GeneratorOptions MakeCorpusOptions() const;
   /// Batching options (fault injector / label prior / shadow evaluator
   /// are wired by the caller).
   BatchPredictorOptions MakeBatchingOptions() const;
@@ -123,13 +100,19 @@ struct ServeConfig {
   ReplayOptions MakeReplayOptions() const;
 };
 
-/// Parses + validates the shared serving flags against an entry point's
-/// defaults. A present numeric value must parse in full and fit its
-/// field. Errors are InvalidArgument naming the offending flag (e.g.
-/// "--shards=abc is not an integer" or "--refit_every requires
-/// --continuous_training").
+/// Per-entry-point defaults: what each entry point used before the
+/// consolidation, so flagless invocations behave identically.
+ServeConfig ServeReplayDefaults();
+ServeConfig StatuszDefaults();
+ServeConfig MicroServeDefaults();
+
+/// Reads the serving flags over an entry point's defaults. Value errors
+/// come from Flags; the cross-flag rules are checked here (a CT flag
+/// without --continuous_training, --http_linger without --http_port,
+/// --refit_every below --step_every, ...). Errors are InvalidArgument
+/// naming the offending flag.
 Result<ServeConfig> ParseServeFlags(const Flags& flags,
-                                    const ServeConfigDefaults& defaults);
+                                    const ServeConfig& defaults);
 
 }  // namespace trajkit::serve
 

@@ -31,6 +31,16 @@ std::array<double, traj::kNumModes> TripWeights(const UserProfile& user) {
 
 }  // namespace
 
+GeneratorOptions GeneratorOptionsFromFlags(const Flags& flags,
+                                           GeneratorOptions defaults) {
+  if (defaults.num_users > 0) {
+    defaults.num_users = flags.GetInt("users", defaults.num_users, 1);
+  }
+  defaults.days_per_user = flags.GetInt("days", defaults.days_per_user, 1);
+  defaults.seed = flags.GetUint64("seed", defaults.seed);
+  return defaults;
+}
+
 double CorpusSummary::PointShare(traj::Mode mode) const {
   if (total_points == 0) return 0.0;
   return static_cast<double>(

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "synthgeo/trip_simulator.h"
 #include "traj/types.h"
@@ -29,6 +30,13 @@ struct GeneratorOptions {
   /// GeoLife's collection window).
   double base_time = 1209600000.0;
 };
+
+/// The corpus flags every entry point that generates a corpus shares:
+/// --users and --days (each >= 1) and --seed (any uint64), over
+/// `defaults`. A default of 0 users leaves --users unread, for entry
+/// points that set the user count themselves.
+GeneratorOptions GeneratorOptionsFromFlags(const Flags& flags,
+                                           GeneratorOptions defaults);
 
 /// Diagnostics of a generated corpus.
 struct CorpusSummary {

@@ -2,8 +2,9 @@
 // endpoint routing, the /metrics byte-identity contract, /healthz wired
 // to SLO state, /quitquitquit, clean joinable shutdown, and concurrent
 // scrapes racing a metric-writing ingest thread, and idle or slow-drip
-// clients that must neither stall other scrapes nor Stop() (run under
-// TSan via the `concurrency` ctest label).
+// clients and clients that never read their response, none of which may
+// stall other scrapes or Stop() (run under TSan via the `concurrency`
+// ctest label).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -343,6 +344,57 @@ TEST(HttpExportServerTest, StopReturnsPromptlyWithIdleClientConnected) {
             std::chrono::milliseconds(800));
   EXPECT_FALSE(server.running());
   ::close(idle);
+}
+
+/// Opens a connection with a tiny receive buffer, asks for /statusz and
+/// never reads the answer.
+int RequestAndNeverRead(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int tiny = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const std::string request = "GET /statusz HTTP/1.0\r\n\r\n";
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(request.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// A client that asks for a response far larger than the socket buffers
+// and never reads it is abandoned at the connection deadline: the scrape
+// queued behind it is answered, and Stop() does not wait on the write.
+TEST(HttpExportServerTest, NonReadingClientDoesNotStallScrapesOrStop) {
+  MetricsRegistry registry;
+  HttpExportOptions options;
+  options.registry = &registry;
+  options.statusz = [] { return std::string(size_t{16} << 20, 'x'); };
+  HttpExportServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(options, &error)) << error;
+
+  const int stuck = RequestAndNeverRead(server.port());
+  ASSERT_GE(stuck, 0);
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(Fetch(server.port(), "/healthz").status, 200);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+
+  const int stuck_again = RequestAndNeverRead(server.port());
+  ASSERT_GE(stuck_again, 0);
+  // Let the server fill the socket buffers and wait to write more.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_FALSE(server.running());
+  ::close(stuck);
+  ::close(stuck_again);
 }
 
 }  // namespace

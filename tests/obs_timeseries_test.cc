@@ -348,6 +348,28 @@ TEST(SloSpecTest, RejectsMalformedSpecsWithNamedToken) {
   EXPECT_FALSE(ParseSloSpecs("x:type=ratio,bad=a,total=b,fast=9,slow=4",
                              &specs, &error));
   EXPECT_NE(error.find("fast window exceeds slow window"), std::string::npos);
+  // Windows are integer tick counts in [1, INT_MAX]: 1e30 used to be an
+  // undefined double -> size_t conversion.
+  for (const char* window :
+       {"fast=1e30", "slow=1e30", "fast=0", "fast=-1", "fast=2.5",
+        "slow=2147483648", "slow=18446744073709551616", "fast=nan"}) {
+    EXPECT_FALSE(ParseSloSpecs(
+        std::string("x:type=ratio,bad=a,total=b,") + window, &specs, &error))
+        << window;
+    EXPECT_NE(error.find("invalid value for"), std::string::npos) << error;
+  }
+  ASSERT_TRUE(ParseSloSpecs(
+      "x:type=ratio,bad=a,total=b,fast=2147483647,slow=2147483647", &specs,
+      &error))
+      << error;
+  EXPECT_EQ(specs[0].slow_window, 2147483647u);
+  for (const char* value :
+       {"budget=nan", "burn=inf", "ceiling_ms=nan", "ceiling_ms=inf"}) {
+    EXPECT_FALSE(ParseSloSpecs(
+        std::string("x:type=latency,metric=m,ceiling_ms=5,") + value, &specs,
+        &error))
+        << value;
+  }
 }
 
 TEST(SloEngineTest, RatioBreachAndRecoverTransitions) {

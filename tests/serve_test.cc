@@ -959,6 +959,15 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultSpec::Parse("predict_fail:latency_ms=5").ok());
   EXPECT_FALSE(FaultSpec::Parse("seed").ok());
   EXPECT_FALSE(FaultSpec::Parse("predict_fail").ok());
+  // NaN slips past a plain p < 0 || p > 1 test; latencies must be finite;
+  // the seed reads as uint64, so -1 is an error rather than 2^64 - 1.
+  EXPECT_FALSE(FaultSpec::Parse("predict_fail:p=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("swap_stall:p=0.1,latency_ms=inf").ok());
+  EXPECT_FALSE(FaultSpec::Parse("batch_delay:p=0.1,latency_ms=nan").ok());
+  EXPECT_FALSE(FaultSpec::Parse("seed=-1").ok());
+  const auto full_seed = FaultSpec::Parse("seed=18446744073709551615");
+  ASSERT_TRUE(full_seed.ok()) << full_seed.status().ToString();
+  EXPECT_EQ(full_seed->seed, 18446744073709551615ull);
 }
 
 TEST(FaultInjectorTest, DeterministicDrawSequence) {

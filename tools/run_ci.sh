@@ -20,9 +20,11 @@
 #   5. chaos smokes: fault-injection replay (sharded) and a
 #      shadow-promotion run under chaos — >= 1 promotion in the trace
 #      export, metrics, and the statusz registry-audit section
-#   6. TSan:   concurrency-labelled tests under ThreadSanitizer
-#   7. ASan:   the full suite under AddressSanitizer
-#   8. bench:  perf-regression gate (tools/check_bench.py) against the
+#   6. hostile flags: malformed, out-of-range and unknown flags exit 2
+#      naming the flag before the entry point does any work
+#   7. TSan:   concurrency-labelled tests under ThreadSanitizer
+#   8. ASan:   the full suite under AddressSanitizer
+#   9. bench:  perf-regression gate (tools/check_bench.py) against the
 #              checked-in BENCH_baseline.json, incl. the shadow-scoring
 #              and telemetry-tick ingest-overhead self-gates
 #              (--require_shadow_overhead / --require_tick_overhead)
@@ -387,6 +389,45 @@ grep -A8 '^registry audit' "$CTP_OUT/statusz.log" | grep -q ' promote ' || {
   echo "shadow promotion smoke: statusz registry-audit section shows no promotion" >&2
   exit 1
 }
+
+# Hostile-flag smoke: each invocation must exit 2 naming the flag, before
+# any work: no stdout, no file written, and the missing store/dataset
+# paths would make an entry point that started work exit 1 instead.
+echo "==> hostile flags: bad values exit 2 naming the flag"
+HOSTILE_OUT="$BUILD_DIR/hostile-flags"
+rm -rf "$HOSTILE_OUT"
+mkdir -p "$HOSTILE_OUT/work"
+TK="$BUILD_DIR/tools/trajkit"
+NONE="$HOSTILE_OUT/missing"
+WORK="$HOSTILE_OUT/work"
+while read -r flag cmd; do
+  status=0
+  # shellcheck disable=SC2086
+  $cmd > "$HOSTILE_OUT/stdout.txt" 2> "$HOSTILE_OUT/stderr.txt" || status=$?
+  if [[ "$status" -ne 2 || -s "$HOSTILE_OUT/stdout.txt" ]] ||
+     [[ -n "$(ls -A "$WORK")" ]] ||
+     ! grep -q -- "$flag" "$HOSTILE_OUT/stderr.txt"; then
+    echo "hostile flags: '$cmd' exited $status; want exit 2, a stderr" \
+      "message naming $flag, no stdout and no files written" >&2
+    cat "$HOSTILE_OUT/stderr.txt" >&2
+    exit 1
+  fi
+done <<EOF
+--hotspots $TK query --store=$NONE --hotspots=nan
+--hotspots $TK query --store=$NONE --hotspots=1e-300
+--folds $TK evaluate --dataset=$NONE --folds=0
+--folds $BUILD_DIR/bench/exp_sec43_dabiri --folds=0
+--users $TK generate --out=$WORK/corpus --users=-2
+--users $TK generate --out=$WORK/corpus --users=abc
+--user $TK query --store=$NONE --user=99999999999
+--limit $TK query --store=$NONE --limit=-1
+--k $TK query --store=$NONE --hotspots --k=-1
+--denoise $TK features --out=$WORK/f.csv --denoise=no
+--shard $TK statusz --shard=8
+--threads $BUILD_DIR/bench/micro_ml --threads=abc
+--bogus $BUILD_DIR/bench/micro_ml --bogus=1
+EOF
+echo "hostile flags: ok"
 
 if [[ "$SKIP_TSAN" -eq 1 ]]; then
   echo "==> TSan leg skipped (--skip-tsan)"

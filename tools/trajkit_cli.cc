@@ -50,58 +50,42 @@
 //       Replay a corpus through the online serving stack (streaming
 //       sessions -> incremental features -> micro-batched prediction) in
 //       global timestamp order and compare the accuracy against the
-//       offline pipeline on identically-segmented data. --shards=N routes
-//       users onto N independent serving shards (sessions + micro-batch
-//       queue per shard, hash(user_id) routing); the replay output is
-//       byte-identical at any shard count, which the CI shard-determinism
-//       matrix enforces. --predictions_out writes the per-segment
-//       true/predicted classes (close order) as CSV — the artifact that
-//       matrix diffs. --deadline_ms
-//       attaches a per-request deadline, --max_queue bounds the predictor
-//       queue (admission control sheds lowest-priority first), --retries
-//       grants each request a resubmission budget for transient failures,
-//       and --fault_spec injects deterministic chaos, e.g.
-//       "swap_stall:p=0.01,latency_ms=50;predict_fail:p=0.02;seed=1" (see
-//       serve/fault_injector.h). Every submitted request is accounted
-//       exactly once: evaluated (possibly degraded), shed, or
-//       deadline-exceeded — the command fails if the books don't balance.
-//       --metrics_json / --metrics_prom dump the process metrics registry
-//       (batch latency p50/p90/p99, shed/degraded/deadline counters,
-//       session counters, active model version, pool stats) as JSON or
-//       Prometheus text. --trace_json enables request-scoped tracing and
-//       dumps the flight recorder as Chrome trace-event JSON (load in
-//       chrome://tracing or Perfetto); --trace_test writes the
-//       deterministic rank-timestamp dump, --trace_sample=N head-samples
-//       every Nth request (bad outcomes are always tail-kept), and
-//       --trace_buffer=M sizes the per-thread ring (events).
-//       The live telemetry plane samples the registry into ring-buffered
-//       time series at replay barriers — one tick per --tick_every closed
-//       segments (ring capacity --timeseries_capacity), so the sampled
-//       history is byte-identical at any thread/shard count.
-//       --timeseries_json dumps the rings; --slo_spec declares burn-rate
-//       objectives over them (obs/slo.h grammar, e.g.
-//       "shed:type=ratio,bad=serve.shed_total.queue_full,
-//       total=serve.batch_predictor.requests,budget=0.02") whose
-//       ok<->breach transitions are logged and exported as slo.* metrics.
-//       --http_port=P serves /metrics, /metrics.json, /timeseries.json,
-//       /statusz, /healthz, /tracez live on 127.0.0.1:P while the replay
-//       runs (0 picks a free port); --http_linger keeps serving the
-//       frozen post-run snapshot until GET /quitquitquit.
-//       --store_out=FILE persists every closed segment (with its resolved
-//       prediction) as a trajectory-store segment log for `trajkit query`.
-//       --continuous_training closes the loop (serve/continuous_training.h):
-//       labeled closed segments feed background refits, candidates score
-//       in the registry's shadow slot on the live batches (never served),
-//       and the promotion policy (--promote_epsilon accuracy delta over a
-//       --min_shadow labeled window, --cost_budget flat node-count ratio)
-//       promotes or retires each one with an audit trail; drift
-//       (--drift_window/--drift_threshold/--drift_degraded_rate) forces
-//       early refits. Trainer steps run only at drained replay barriers,
-//       so the output stays byte-identical at any thread/shard count; the
-//       offline-parity check is skipped (the serving model evolves
-//       mid-replay). All serving flags parse through one validated
-//       surface (serve/serve_config.h): bad values or a CT flag without
-//       --continuous_training fail naming the offending flag.
+//       offline pipeline on identically-segmented data.
+//       --shards=N routes users onto N serving shards by hash(user_id);
+//       the output is byte-identical at any shard count: CI diffs the
+//       per-segment true/predicted classes (close order) that
+//       --predictions_out writes as CSV.
+//       --deadline_ms, --max_queue (admission control sheds lowest
+//       priority first) and --retries shape each request's lifecycle;
+//       --fault_spec injects deterministic chaos, e.g.
+//       "swap_stall:p=0.01,latency_ms=50;predict_fail:p=0.02;seed=1"
+//       (serve/fault_injector.h). Every submitted request is accounted
+//       exactly once (evaluated, possibly degraded, shed, or
+//       deadline-exceeded) or the command fails.
+//       --metrics_json / --metrics_prom dump the metrics registry;
+//       --trace_json dumps the request flight recorder as Chrome
+//       trace-event JSON, --trace_test its rank-timestamp form,
+//       --trace_sample=N head-samples every Nth request (bad outcomes are
+//       always kept) and --trace_buffer=M sizes the per-thread ring.
+//       The telemetry plane samples the registry into rings of
+//       --timeseries_capacity ticks, one tick per --tick_every closed
+//       segments, so the history is byte-identical at any thread/shard
+//       count; --timeseries_json dumps it and --slo_spec declares
+//       burn-rate objectives over it (obs/slo.h grammar). --http_port=P
+//       serves /metrics, /metrics.json, /timeseries.json, /statusz,
+//       /healthz and /tracez on 127.0.0.1:P during the replay (0 picks a
+//       free port); --http_linger keeps serving the post-run snapshot
+//       until GET /quitquitquit. --store_out=FILE persists every closed
+//       segment with its resolved prediction for `trajkit query`.
+//       --continuous_training (serve/continuous_training.h) refits on
+//       labeled closed segments, scores candidates in the registry's
+//       shadow slot, and promotes or retires each one by the policy
+//       (--promote_epsilon accuracy delta over a --min_shadow window,
+//       --cost_budget node-count ratio); drift (--drift_window,
+//       --drift_threshold, --drift_degraded_rate) forces early refits.
+//       Trainer steps run only at drained barriers, so the output stays
+//       byte-identical; the offline-parity check is skipped. A CT flag
+//       without --continuous_training is an error.
 //
 //   trajkit query     --store=FILE [--bbox=MINLAT,MINLON,MAXLAT,MAXLON]
 //                     [--time=BEGIN,END] [--mode=walk,bus,...]
@@ -137,8 +121,11 @@
 //
 // Every command also accepts --threads=N to bound the shared worker pool
 // (default: TRAJKIT_THREADS env var, else hardware concurrency). Results
-// are bit-identical at any thread count.
+// are bit-identical at any thread count. Flags are checked before any
+// work (common/flags.h): a malformed, non-finite, out-of-range or unknown
+// flag exits 2 with a message naming it.
 
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -187,19 +174,26 @@ constexpr char kUsage[] =
     "usage: trajkit "
     "<generate|features|train|evaluate|predict|serve-replay|query|statusz> "
     "[--flags]\n"
-    "run `trajkit <command> --help` or see the file header for details\n";
+    "see the header of tools/trajkit_cli.cc for each command's flags\n";
 
 int Fail(const Status& status, const char* what) {
   std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
   return 1;
 }
 
-synthgeo::GeneratorOptions GeneratorOptionsFromFlags(const Flags& flags) {
-  synthgeo::GeneratorOptions options;
-  options.num_users = flags.GetInt("users", 20);
-  options.days_per_user = flags.GetInt("days", 4);
-  options.seed = flags.GetUint64("seed", 7);
-  return options;
+/// Ends a command's flag reading, before it does any work: a malformed,
+/// out-of-range or unknown flag exits 2 naming it. Then applies --threads.
+void StartCommand(const Flags& flags, const HarnessOptions& harness) {
+  flags.CheckOrExit();
+  harness.ApplyThreads();
+}
+
+/// A flag the command cannot run with (a required one missing, or a value
+/// with its own grammar that does not parse): reports it and returns exit
+/// code 2.
+int FlagError(const std::string& message) {
+  std::fprintf(stderr, "trajkit: %s\n", message.c_str());
+  return 2;
 }
 
 Result<core::LabelSet> LabelSetFromFlags(const Flags& flags) {
@@ -207,17 +201,57 @@ Result<core::LabelSet> LabelSetFromFlags(const Flags& flags) {
   if (name == "dabiri") return core::LabelSet::Dabiri();
   if (name == "endo") return core::LabelSet::Endo();
   if (name == "all") return core::LabelSet::AllModes();
-  return Status::InvalidArgument("unknown label set: '" + name +
-                                 "' (want dabiri|endo|all)");
+  return Status::InvalidArgument("--labels=" + name +
+                                 " is not dabiri, endo or all");
 }
 
-int RunGenerate(const Flags& flags) {
-  const std::string out = flags.GetString("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "generate: --out=DIR is required\n");
-    return 2;
+/// The corpus of `features` and `serve-replay`: the GeoLife directory
+/// --data names, else a synthetic one.
+Result<std::vector<traj::Trajectory>> LoadCorpus(
+    const std::string& data, const synthgeo::GeneratorOptions& synthetic) {
+  if (!data.empty()) return geolife::LoadGeoLifeCorpus(data);
+  synthgeo::GeoLifeLikeGenerator generator(synthetic);
+  std::vector<traj::Trajectory> corpus = generator.Generate();
+  std::printf("(no --data; generated a synthetic corpus: %zu points)\n",
+              generator.summary().total_points);
+  return corpus;
+}
+
+/// Point counts per class of the corpus annotations: the label prior of
+/// the degradation chain's last rung, for chaos runs.
+std::vector<double> LabelPrior(const std::vector<traj::Trajectory>& corpus,
+                               const core::LabelSet& labels) {
+  std::vector<double> prior(static_cast<size_t>(labels.num_classes()), 0.0);
+  for (const traj::Trajectory& trajectory : corpus) {
+    for (const traj::TrajectoryPoint& point : trajectory.points) {
+      const int cls = labels.ClassOf(point.mode);
+      if (cls >= 0) prior[static_cast<size_t>(cls)] += 1.0;
+    }
   }
-  synthgeo::GeoLifeLikeGenerator generator(GeneratorOptionsFromFlags(flags));
+  return prior;
+}
+
+/// A replay sink that files every closed segment in `segments` under its
+/// resolved prediction (segments never predicted keep their annotated
+/// mode).
+auto StoreSink(store::TrajectoryStore* segments, const core::LabelSet* labels) {
+  return [segments, labels](const serve::ClosedSegment& segment,
+                            int predicted_class) {
+    const traj::Mode predicted = predicted_class >= 0
+                                     ? labels->ModeOf(predicted_class)
+                                     : segment.mode;
+    segments->Ingest(store::FromClosedSegment(segment, predicted));
+  };
+}
+
+int RunGenerate(const Flags& flags, const HarnessOptions& harness) {
+  const std::string out = flags.GetString("out", "");
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(
+          flags, serve::ServeReplayDefaults().MakeCorpusOptions());
+  StartCommand(flags, harness);
+  if (out.empty()) return FlagError("generate: --out=DIR is required");
+  synthgeo::GeoLifeLikeGenerator generator(corpus_options);
   Stopwatch timer;
   const std::vector<traj::Trajectory> corpus = generator.Generate();
   const Status status = geolife::ExportGeoLifeCorpus(corpus, out);
@@ -228,30 +262,15 @@ int RunGenerate(const Flags& flags) {
   return 0;
 }
 
-int RunFeatures(const Flags& flags) {
+int RunFeatures(const Flags& flags, const HarnessOptions& harness) {
   const std::string out = flags.GetString("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "features: --out=FILE.csv is required\n");
-    return 2;
-  }
-  // Corpus: real directory or synthetic.
-  std::vector<traj::Trajectory> corpus;
   const std::string data = flags.GetString("data", "");
-  if (!data.empty()) {
-    auto loaded = geolife::LoadGeoLifeCorpus(data);
-    if (!loaded.ok()) return Fail(loaded.status(), "GeoLife load");
-    corpus = std::move(loaded).value();
-  } else {
-    synthgeo::GeoLifeLikeGenerator generator(
-        GeneratorOptionsFromFlags(flags));
-    corpus = generator.Generate();
-    std::printf("(no --data; generated a synthetic corpus: %zu points)\n",
-                generator.summary().total_points);
-  }
-
+  // --synthetic spells out the default: no --data.
+  flags.GetBool("synthetic", false);
+  const synthgeo::GeneratorOptions corpus_options =
+      synthgeo::GeneratorOptionsFromFlags(
+          flags, serve::ServeReplayDefaults().MakeCorpusOptions());
   auto labels = LabelSetFromFlags(flags);
-  if (!labels.ok()) return Fail(labels.status(), "label set");
-
   core::PipelineOptions options;
   options.remove_noise = flags.GetBool("denoise", false);
   options.include_extended_features = flags.GetBool("extended", false);
@@ -259,8 +278,14 @@ int RunFeatures(const Flags& flags) {
     options.strategy = core::SegmentationStrategy::kFixedWindows;
     options.windows.window_seconds = flags.GetDouble("windows", 180.0);
   }
+  StartCommand(flags, harness);
+  if (out.empty()) return FlagError("features: --out=FILE.csv is required");
+  if (!labels.ok()) return FlagError(labels.status().message());
+  const auto corpus = LoadCorpus(data, corpus_options);
+  if (!corpus.ok()) return Fail(corpus.status(), "GeoLife load");
+
   const core::Pipeline pipeline(options);
-  auto dataset = pipeline.BuildDataset(corpus, labels.value());
+  auto dataset = pipeline.BuildDataset(*corpus, labels.value());
   if (!dataset.ok()) return Fail(dataset.status(), "pipeline");
 
   const Status status = ml::SaveDatasetCsv(dataset.value(), out);
@@ -270,21 +295,20 @@ int RunFeatures(const Flags& flags) {
   return 0;
 }
 
-int RunTrain(const Flags& flags) {
+int RunTrain(const Flags& flags, const HarnessOptions& harness) {
   const std::string dataset_path = flags.GetString("dataset", "");
   const std::string model_path = flags.GetString("model", "");
+  ml::RandomForestParams params;
+  params.n_estimators = flags.GetInt("trees", 50, 1);
+  params.balanced_class_weights = flags.GetBool("balanced", false);
+  params.seed = flags.GetUint64("seed", 42);
+  StartCommand(flags, harness);
   if (dataset_path.empty() || model_path.empty()) {
-    std::fprintf(stderr,
-                 "train: --dataset=FILE.csv and --model=FILE are required\n");
-    return 2;
+    return FlagError("train: --dataset=FILE.csv and --model=FILE are required");
   }
   auto dataset = ml::LoadDatasetCsv(dataset_path);
   if (!dataset.ok()) return Fail(dataset.status(), "dataset load");
 
-  ml::RandomForestParams params;
-  params.n_estimators = flags.GetInt("trees", 50);
-  params.balanced_class_weights = flags.GetBool("balanced", false);
-  params.seed = flags.GetUint64("seed", 42);
   ml::RandomForest forest(params);
   Stopwatch timer;
   const Status fit = forest.Fit(dataset.value());
@@ -298,30 +322,29 @@ int RunTrain(const Flags& flags) {
   return 0;
 }
 
-int RunEvaluate(const Flags& flags) {
+int RunEvaluate(const Flags& flags, const HarnessOptions& harness) {
   const std::string dataset_path = flags.GetString("dataset", "");
+  const std::string classifier_name =
+      flags.GetString("classifier", "random_forest");
+  const uint64_t seed = flags.GetUint64("seed", 42);
+  const double scale = flags.GetDouble("scale", 1.0, 0.0);
+  auto scheme = core::CvSchemeFromString(flags.GetString("scheme", "random"));
+  const int folds = flags.GetInt("folds", 5, 2);
+  StartCommand(flags, harness);
   if (dataset_path.empty()) {
-    std::fprintf(stderr, "evaluate: --dataset=FILE.csv is required\n");
-    return 2;
+    return FlagError("evaluate: --dataset=FILE.csv is required");
+  }
+  if (!scheme.ok()) return FlagError("--scheme: " + scheme.status().message());
+  auto model = ml::MakeClassifier(classifier_name,
+                                  {.seed = seed, .scale = scale});
+  if (!model.ok()) {
+    return FlagError("--classifier: " + model.status().message());
   }
   auto dataset = ml::LoadDatasetCsv(dataset_path);
   if (!dataset.ok()) return Fail(dataset.status(), "dataset load");
 
-  const std::string classifier_name =
-      flags.GetString("classifier", "random_forest");
-  auto model = ml::MakeClassifier(
-      classifier_name,
-      {.seed = flags.GetUint64("seed", 42),
-       .scale = flags.GetDouble("scale", 1.0)});
-  if (!model.ok()) return Fail(model.status(), "classifier");
-
-  auto scheme = core::CvSchemeFromString(
-      flags.GetString("scheme", "random"));
-  if (!scheme.ok()) return Fail(scheme.status(), "scheme");
-  const int folds = flags.GetInt("folds", 5);
-  const auto cv_folds = core::MakeFolds(
-      scheme.value(), dataset.value(), folds,
-      flags.GetUint64("seed", 42));
+  const auto cv_folds =
+      core::MakeFolds(scheme.value(), dataset.value(), folds, seed);
   Stopwatch timer;
   const auto cv = ml::CrossValidate(*model.value(), dataset.value(),
                                     cv_folds);
@@ -344,14 +367,14 @@ int RunEvaluate(const Flags& flags) {
   return 0;
 }
 
-int RunPredict(const Flags& flags) {
+int RunPredict(const Flags& flags, const HarnessOptions& harness) {
   const std::string dataset_path = flags.GetString("dataset", "");
   const std::string model_path = flags.GetString("model", "");
+  const std::string output = flags.GetString("output", "");
+  StartCommand(flags, harness);
   if (dataset_path.empty() || model_path.empty()) {
-    std::fprintf(stderr,
-                 "predict: --dataset=FILE.csv and --model=FILE are "
-                 "required\n");
-    return 2;
+    return FlagError(
+        "predict: --dataset=FILE.csv and --model=FILE are required");
   }
   auto dataset = ml::LoadDatasetCsv(dataset_path);
   if (!dataset.ok()) return Fail(dataset.status(), "dataset load");
@@ -370,7 +393,6 @@ int RunPredict(const Flags& flags) {
 
   // --output writes the full prediction table (the stdout preview above is
   // capped at 20 rows).
-  const std::string output = flags.GetString("output", "");
   if (!output.empty()) {
     auto probabilities = forest->PredictProba(dataset->features());
     CsvTable table;
@@ -411,64 +433,34 @@ int RunPredict(const Flags& flags) {
   return 0;
 }
 
-/// Dumps the metric artifacts (--metrics_json / --metrics_prom /
-/// --timeseries_json, no-op for absent flags) through the shared
-/// obs::WriteMetricsArtifacts helper. Returns false on a write failure.
-bool DumpMetrics(const HarnessOptions& harness,
-                 const obs::TimeSeriesStore* timeseries = nullptr) {
-  if (!obs::WriteMetricsArtifacts(harness.MetricsArtifacts(timeseries),
-                                  obs::MetricsRegistry::Global())) {
-    return false;
-  }
-  if (!harness.metrics_json.empty()) {
-    std::printf("metrics written to %s\n", harness.metrics_json.c_str());
-  }
-  if (!harness.metrics_prom.empty()) {
-    std::printf("metrics written to %s\n", harness.metrics_prom.c_str());
-  }
-  if (!harness.timeseries_json.empty()) {
-    std::printf("timeseries written to %s\n",
-                harness.timeseries_json.c_str());
-  }
-  return true;
-}
-
-int RunServeReplay(const Flags& flags) {
+int RunServeReplay(const Flags& flags, const HarnessOptions& harness) {
   const std::string model_path = flags.GetString("model", "");
-  if (model_path.empty()) {
-    std::fprintf(stderr, "serve-replay: --model=FILE.model is required\n");
-    return 2;
-  }
   auto config_or =
       serve::ParseServeFlags(flags, serve::ServeReplayDefaults());
-  if (!config_or.ok()) return Fail(config_or.status(), "serve flags");
+  const std::string data = flags.GetString("data", "");
+  // --synthetic spells out the default: no --data.
+  flags.GetBool("synthetic", false);
+  auto labels = LabelSetFromFlags(flags);
+  const std::string subset_path = flags.GetString("subset", "");
+  const std::string subset_method = flags.GetString("method", "importance");
+  const int top_k = flags.GetInt("top_k", 20, 1);
+  const std::string store_out = flags.GetString("store_out", "");
+  const std::string predictions_out = flags.GetString("predictions_out", "");
+  if (!config_or.ok()) return FlagError(config_or.status().message());
+  StartCommand(flags, harness);
   const serve::ServeConfig& config = config_or.value();
+  if (model_path.empty()) {
+    return FlagError("serve-replay: --model=FILE.model is required");
+  }
+  if (!labels.ok()) return FlagError(labels.status().message());
 
   // Tracing must be armed before the registry activates the model so the
   // "registry_swap" landmark lands in the recorder.
-  const HarnessOptions harness = HarnessOptions::FromFlags(flags);
   harness.ConfigureTracing();
 
-  // Corpus: real directory or synthetic (same convention as `features`).
-  std::vector<traj::Trajectory> corpus;
-  const std::string data = flags.GetString("data", "");
-  if (!data.empty()) {
-    auto loaded = geolife::LoadGeoLifeCorpus(data);
-    if (!loaded.ok()) return Fail(loaded.status(), "GeoLife load");
-    corpus = std::move(loaded).value();
-  } else {
-    synthgeo::GeneratorOptions generator_options;
-    generator_options.num_users = config.users;
-    generator_options.days_per_user = config.days;
-    generator_options.seed = config.seed;
-    synthgeo::GeoLifeLikeGenerator generator(generator_options);
-    corpus = generator.Generate();
-    std::printf("(no --data; generated a synthetic corpus: %zu points)\n",
-                generator.summary().total_points);
-  }
-
-  auto labels = LabelSetFromFlags(flags);
-  if (!labels.ok()) return Fail(labels.status(), "label set");
+  auto loaded = LoadCorpus(data, config.MakeCorpusOptions());
+  if (!loaded.ok()) return Fail(loaded.status(), "GeoLife load");
+  const std::vector<traj::Trajectory> corpus = std::move(loaded).value();
 
   auto forest = ml::LoadRandomForest(model_path);
   if (!forest.ok()) return Fail(forest.status(), "model load");
@@ -476,11 +468,9 @@ int RunServeReplay(const Flags& flags) {
   // Optional Fig. 3 feature-subset mask: the forest was trained on the
   // top-k columns, requests carry the full 70-dim vector.
   std::vector<int> subset;
-  const std::string subset_path = flags.GetString("subset", "");
   if (!subset_path.empty()) {
-    auto loaded = serve::LoadFig3FeatureSubset(
-        subset_path, flags.GetString("method", "importance"),
-        flags.GetInt("top_k", 20));
+    auto loaded =
+        serve::LoadFig3FeatureSubset(subset_path, subset_method, top_k);
     if (!loaded.ok()) return Fail(loaded.status(), "feature subset");
     subset = std::move(loaded).value();
     std::printf("serving with a %zu-feature mask from %s\n", subset.size(),
@@ -507,15 +497,7 @@ int RunServeReplay(const Flags& flags) {
   if (config.fault_spec.has_value()) {
     injector.emplace(config.fault_spec.value());
     plane_options.batching.fault_injector = &*injector;
-    std::vector<double> prior(
-        static_cast<size_t>(labels->num_classes()), 0.0);
-    for (const traj::Trajectory& trajectory : corpus) {
-      for (const traj::TrajectoryPoint& point : trajectory.points) {
-        const int cls = labels->ClassOf(point.mode);
-        if (cls >= 0) prior[static_cast<size_t>(cls)] += 1.0;
-      }
-    }
-    plane_options.batching.label_prior = std::move(prior);
+    plane_options.batching.label_prior = LabelPrior(corpus, *labels);
     std::printf("fault injection on: %s\n", config.fault_spec_text.c_str());
   }
 
@@ -539,18 +521,10 @@ int RunServeReplay(const Flags& flags) {
   // --store_out: persist every closed segment (keyed by its resolved
   // prediction; segments never predicted keep their annotated mode) as a
   // trajectory-store segment log the `query` subcommand reads back.
-  const std::string store_out = flags.GetString("store_out", "");
   std::optional<store::TrajectoryStore> trajectory_store;
   if (!store_out.empty()) {
     trajectory_store.emplace();
-    replay_options.closed_sink = [&trajectory_store, &labels](
-                                     const serve::ClosedSegment& segment,
-                                     int predicted_class) {
-      const traj::Mode predicted = predicted_class >= 0
-                                       ? labels->ModeOf(predicted_class)
-                                       : segment.mode;
-      trajectory_store->Ingest(store::FromClosedSegment(segment, predicted));
-    };
+    replay_options.closed_sink = StoreSink(&*trajectory_store, &*labels);
   }
 
   // Telemetry plane (--http_port / --slo_spec / --timeseries_json): a
@@ -736,7 +710,6 @@ int RunServeReplay(const Flags& flags) {
   // --predictions_out: the per-segment true/predicted classes in close
   // order — the byte-comparable artifact of the CI shard-determinism
   // matrix (identical at any --shards value).
-  const std::string predictions_out = flags.GetString("predictions_out", "");
   if (!predictions_out.empty()) {
     CsvTable table;
     table.header = {"index", "true_class", "pred_class"};
@@ -754,7 +727,7 @@ int RunServeReplay(const Flags& flags) {
 
   // The metrics/trace artifacts reflect the serving replay itself, so
   // dump them before the offline-comparison pipeline adds its own samples.
-  if (!DumpMetrics(harness, timeseries.has_value() ? &*timeseries : nullptr)) {
+  if (!harness.WriteMetrics(timeseries.has_value() ? &*timeseries : nullptr)) {
     return 1;
   }
   if (!harness.DumpTrace()) return 1;
@@ -832,21 +805,21 @@ int RunServeReplay(const Flags& flags) {
   return 0;
 }
 
-/// Parses a comma-separated list of exactly `expected` doubles.
+/// Parses a comma-separated list of exactly `expected` finite doubles; the
+/// error names the flag `what`.
 Result<std::vector<double>> ParseDoubleList(const std::string& text,
                                             size_t expected,
                                             const char* what) {
+  const Status bad = Status::InvalidArgument(StrPrintf(
+      "%s=%s is not %zu comma-separated finite numbers", what, text.c_str(),
+      expected));
   std::vector<double> values;
   for (std::string_view field : SplitString(text, ',')) {
     auto value = ParseDouble(StripWhitespace(field));
-    if (!value.ok()) return value.status();
-    values.push_back(value.value());
+    if (!value.ok() || !std::isfinite(*value)) return bad;
+    values.push_back(*value);
   }
-  if (values.size() != expected) {
-    return Status::InvalidArgument(
-        StrPrintf("%s wants %zu comma-separated numbers, got %zu", what,
-                  expected, values.size()));
-  }
+  if (values.size() != expected) return bad;
   return values;
 }
 
@@ -874,16 +847,46 @@ void PrintSegmentRows(const store::TrajectoryStore& trajectory_store,
 /// `trajkit query`: the read side. Loads a segment log written by
 /// `serve-replay --store_out` and answers one of the three query shapes;
 /// --oracle cross-checks the indexed answer against the brute-force scan.
-int RunQuery(const Flags& flags) {
+int RunQuery(const Flags& flags, const HarnessOptions& harness) {
   const std::string store_path = flags.GetString("store", "");
-  if (store_path.empty()) {
-    std::fprintf(stderr, "query: --store=FILE is required\n");
-    return 2;
-  }
   store::TrajectoryStoreOptions store_options;
-  if (flags.Has("str")) {
+  if (flags.GetBool("str", false)) {
     store_options.strategy = store::BulkLoadStrategy::kStr;
   }
+  const std::string time_text = flags.GetString("time", "");
+  const std::string mode_text = flags.GetString("mode", "");
+  const std::string bbox_text = flags.GetString("bbox", "");
+  const size_t limit = static_cast<size_t>(flags.GetInt("limit", 20, 0));
+  const bool oracle = flags.GetBool("oracle", false);
+  const bool by_user = flags.Has("user");
+  const int32_t user_id = flags.GetInt("user", 0);
+  const bool hotspots = flags.Has("hotspots");
+  // Cells from 1e-9 degrees (about 0.1 mm) up to the whole globe keep
+  // every cell index well inside int64.
+  const double cell_deg = flags.GetDouble("hotspots", 0.01, 1e-9, 360.0);
+  const size_t k = static_cast<size_t>(flags.GetInt("k", 10, 0));
+  StartCommand(flags, harness);
+  if (store_path.empty()) return FlagError("query: --store=FILE is required");
+  store::TimeRange time = store::TimeRange::All();
+  if (flags.Has("time")) {
+    auto values = ParseDoubleList(time_text, 2, "--time");
+    if (!values.ok()) return FlagError(values.status().message());
+    time.begin = values.value()[0];
+    time.end = values.value()[1];
+  }
+  auto mask = store::ParseModeMask(mode_text);
+  if (!mask.ok()) return FlagError("--mode: " + mask.status().message());
+  geo::BoundingBox box;
+  box.Extend(geo::LatLon{-90.0, -180.0});
+  box.Extend(geo::LatLon{90.0, 180.0});
+  if (flags.Has("bbox")) {
+    auto values = ParseDoubleList(bbox_text, 4, "--bbox");
+    if (!values.ok()) return FlagError(values.status().message());
+    box = geo::BoundingBox();
+    box.Extend(geo::LatLon{values.value()[0], values.value()[1]});
+    box.Extend(geo::LatLon{values.value()[2], values.value()[3]});
+  }
+
   store::TrajectoryStore trajectory_store(store_options);
   {
     const Status status = trajectory_store.Load(store_path);
@@ -892,21 +895,7 @@ int RunQuery(const Flags& flags) {
   std::printf("store: %zu segments from %s\n", trajectory_store.size(),
               store_path.c_str());
 
-  store::TimeRange time = store::TimeRange::All();
-  if (flags.Has("time")) {
-    auto values =
-        ParseDoubleList(flags.GetString("time", ""), 2, "--time");
-    if (!values.ok()) return Fail(values.status(), "time range");
-    time.begin = values.value()[0];
-    time.end = values.value()[1];
-  }
-  auto mask = store::ParseModeMask(flags.GetString("mode", ""));
-  if (!mask.ok()) return Fail(mask.status(), "mode mask");
-  const size_t limit = static_cast<size_t>(flags.GetInt("limit", 20));
-  const bool oracle = flags.Has("oracle");
-
-  if (flags.Has("user")) {
-    const int32_t user_id = flags.GetInt("user", 0);
+  if (by_user) {
     const std::vector<uint32_t> ids =
         trajectory_store.QueryUser(user_id, time);
     std::printf("user %d: %zu segments\n", user_id, ids.size());
@@ -920,13 +909,7 @@ int RunQuery(const Flags& flags) {
     return 0;
   }
 
-  if (flags.Has("hotspots")) {
-    const double cell_deg = flags.GetDouble("hotspots", 0.01);
-    if (cell_deg <= 0.0) {
-      std::fprintf(stderr, "query: --hotspots wants a positive cell size\n");
-      return 2;
-    }
-    const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
+  if (hotspots) {
     const std::vector<store::HotspotCell> cells =
         trajectory_store.TopKHotspots(cell_deg, k, mask.value());
     std::printf("top %zu hotspot cells (%.4f deg grid)\n", cells.size(),
@@ -950,17 +933,6 @@ int RunQuery(const Flags& flags) {
     return 0;
   }
 
-  geo::BoundingBox box;
-  box.Extend(geo::LatLon{-90.0, -180.0});
-  box.Extend(geo::LatLon{90.0, 180.0});
-  if (flags.Has("bbox")) {
-    auto values =
-        ParseDoubleList(flags.GetString("bbox", ""), 4, "--bbox");
-    if (!values.ok()) return Fail(values.status(), "bbox");
-    box = geo::BoundingBox();
-    box.Extend(geo::LatLon{values.value()[0], values.value()[1]});
-    box.Extend(geo::LatLon{values.value()[2], values.value()[3]});
-  }
   const std::vector<uint32_t> ids =
       trajectory_store.QueryBBox(box, time, mask.value());
   std::printf("bbox [%.4f, %.4f] x [%.4f, %.4f]: %zu segments\n",
@@ -985,41 +957,28 @@ int RunQuery(const Flags& flags) {
 /// (chaos + deadlines on by default so every section of the page is
 /// populated), then print serve::RenderStatusPage. Pass --fault_spec=
 /// (empty) for a clean, fault-free page.
-int RunStatusz(const Flags& flags) {
+int RunStatusz(const Flags& flags, const HarnessOptions& harness) {
+  auto config_or = serve::ParseServeFlags(flags, serve::StatuszDefaults());
+  auto labels = LabelSetFromFlags(flags);
+  ml::RandomForestParams params;
+  params.seed = flags.GetUint64("seed", 42);
+  if (!config_or.ok()) return FlagError(config_or.status().message());
+  StartCommand(flags, harness);
+  const serve::ServeConfig& config = config_or.value();
+  if (!labels.ok()) return FlagError(labels.status().message());
+  params.n_estimators = config.trees;
+
   // The flight recorder is always on for statusz — the page's "retained
   // traces" section is the point — honoring --trace_sample/--trace_buffer.
-  const HarnessOptions harness = HarnessOptions::FromFlags(flags);
-  {
-    obs::RequestTracerOptions tracer_options;
-    tracer_options.enabled = true;
-    tracer_options.sample_every =
-        harness.trace_sample == 0 ? 1 : harness.trace_sample;
-    tracer_options.buffer_capacity =
-        harness.trace_buffer == 0 ? 8192 : harness.trace_buffer;
-    obs::RequestTracer::Global().Configure(tracer_options);
-  }
+  harness.ConfigureTracing(/*always=*/true);
 
-  auto config_or = serve::ParseServeFlags(flags, serve::StatuszDefaults());
-  if (!config_or.ok()) return Fail(config_or.status(), "serve flags");
-  const serve::ServeConfig& config = config_or.value();
-
-  synthgeo::GeneratorOptions generator_options;
-  generator_options.num_users = config.users;
-  generator_options.days_per_user = config.days;
-  generator_options.seed = config.seed;
-  synthgeo::GeoLifeLikeGenerator generator(generator_options);
+  synthgeo::GeoLifeLikeGenerator generator(config.MakeCorpusOptions());
   const std::vector<traj::Trajectory> corpus = generator.Generate();
-
-  auto labels = LabelSetFromFlags(flags);
-  if (!labels.ok()) return Fail(labels.status(), "label set");
 
   const core::Pipeline pipeline{core::PipelineOptions{}};
   auto dataset = pipeline.BuildDataset(corpus, labels.value());
   if (!dataset.ok()) return Fail(dataset.status(), "pipeline");
 
-  ml::RandomForestParams params;
-  params.n_estimators = config.trees;
-  params.seed = flags.GetUint64("seed", 42);
   ml::RandomForest forest(params);
   const Status fit = forest.Fit(dataset.value());
   if (!fit.ok()) return Fail(fit, "training");
@@ -1042,15 +1001,7 @@ int RunStatusz(const Flags& flags) {
   if (config.fault_spec.has_value()) {
     injector.emplace(config.fault_spec.value());
     plane_options.batching.fault_injector = &*injector;
-    std::vector<double> prior(
-        static_cast<size_t>(labels->num_classes()), 0.0);
-    for (const traj::Trajectory& trajectory : corpus) {
-      for (const traj::TrajectoryPoint& point : trajectory.points) {
-        const int cls = labels->ClassOf(point.mode);
-        if (cls >= 0) prior[static_cast<size_t>(cls)] += 1.0;
-      }
-    }
-    plane_options.batching.label_prior = std::move(prior);
+    plane_options.batching.label_prior = LabelPrior(corpus, *labels);
   }
 
   serve::ReplayOptions replay_options = config.MakeReplayOptions();
@@ -1066,9 +1017,9 @@ int RunStatusz(const Flags& flags) {
   }
 
   // The statusz demo always arms the telemetry plane so the page's slo +
-  // timeseries sections render live sparklines: --slo_spec overrides the
-  // built-in demo objectives (a p99 latency ceiling and a shed-rate
-  // ceiling).
+  // timeseries sections render live sparklines. The objectives are
+  // StatuszDefaults' p99 latency and shed-rate ceilings unless --slo_spec
+  // replaces them.
   obs::TimeSeriesOptions ts_options;
   ts_options.capacity = config.timeseries_capacity;
   obs::TimeSeriesStore timeseries(obs::MetricsRegistry::Global(),
@@ -1078,25 +1029,8 @@ int RunStatusz(const Flags& flags) {
   timeseries.TrackCounter("serve.batch_predictor.requests");
   timeseries.TrackGauge("serve.sessions.active");
   timeseries.TrackHistogram("serve.batch_predictor.latency_seconds");
-  std::vector<obs::SloSpec> slo_specs = config.slo_specs;
-  if (slo_specs.empty()) {
-    std::string error;
-    const bool parsed = obs::ParseSloSpecs(
-        "latency_p99:type=latency,"
-        "metric=serve.batch_predictor.latency_seconds,ceiling_ms=50,"
-        "budget=0.05,fast=4,slow=16;"
-        "shed:type=ratio,bad=serve.shed_total.queue_full+"
-        "serve.shed_total.preempted,total=serve.batch_predictor.requests,"
-        "budget=0.02,fast=4,slow=16",
-        &slo_specs, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "statusz: built-in slo spec: %s\n",
-                   error.c_str());
-      return 1;
-    }
-  }
   obs::SloEngine slo(&timeseries, &obs::MetricsRegistry::Global(),
-                     std::move(slo_specs));
+                     config.slo_specs);
   size_t tick_index = 0;
   replay_options.tick_every_segments = config.tick_every;
   replay_options.tick = [&timeseries, &slo, &tick_index] {
@@ -1109,14 +1043,7 @@ int RunStatusz(const Flags& flags) {
   // Feed a trajectory store from the replay so the page's store section
   // renders live numbers, and touch each query path once.
   store::TrajectoryStore trajectory_store;
-  replay_options.closed_sink = [&trajectory_store, &labels](
-                                   const serve::ClosedSegment& segment,
-                                   int predicted_class) {
-    const traj::Mode predicted = predicted_class >= 0
-                                     ? labels->ModeOf(predicted_class)
-                                     : segment.mode;
-    trajectory_store.Ingest(store::FromClosedSegment(segment, predicted));
-  };
+  replay_options.closed_sink = StoreSink(&trajectory_store, &*labels);
   auto report = serve::ReplayCorpus(corpus, labels.value(), plane,
                                     replay_options);
   if (!report.ok()) return Fail(report.status(), "replay");
@@ -1133,31 +1060,31 @@ int RunStatusz(const Flags& flags) {
                         obs::MetricsRegistry::Global(),
                         obs::RequestTracer::Global(), page)
                         .c_str());
-  if (!DumpMetrics(harness, &timeseries)) return 1;
+  if (!harness.WriteMetrics(&timeseries)) return 1;
   if (!harness.DumpTrace()) return 1;
   return 0;
 }
 
 int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
-  // Every command honors the shared harness trio (common/harness_options):
-  // --threads=N bounds the worker pool (0/absent keeps the process
-  // default, which itself honors the TRAJKIT_THREADS environment
-  // variable); --metrics_json is read by the commands that dump metrics.
-  HarnessOptions::FromFlags(flags).ApplyThreads();
   if (flags.positional().empty()) {
     std::fputs(kUsage, stderr);
     return 2;
   }
+  // Every command honors the shared harness flags (common/harness_options):
+  // --threads=N bounds the worker pool (0/absent keeps the process
+  // default, which itself honors the TRAJKIT_THREADS environment
+  // variable); --metrics_json is read by the commands that dump metrics.
+  const HarnessOptions harness = HarnessOptions::FromFlags(flags);
   const std::string& command = flags.positional().front();
-  if (command == "generate") return RunGenerate(flags);
-  if (command == "features") return RunFeatures(flags);
-  if (command == "train") return RunTrain(flags);
-  if (command == "evaluate") return RunEvaluate(flags);
-  if (command == "predict") return RunPredict(flags);
-  if (command == "serve-replay") return RunServeReplay(flags);
-  if (command == "query") return RunQuery(flags);
-  if (command == "statusz") return RunStatusz(flags);
+  if (command == "generate") return RunGenerate(flags, harness);
+  if (command == "features") return RunFeatures(flags, harness);
+  if (command == "train") return RunTrain(flags, harness);
+  if (command == "evaluate") return RunEvaluate(flags, harness);
+  if (command == "predict") return RunPredict(flags, harness);
+  if (command == "serve-replay") return RunServeReplay(flags, harness);
+  if (command == "query") return RunQuery(flags, harness);
+  if (command == "statusz") return RunStatusz(flags, harness);
   std::fprintf(stderr, "unknown command '%s'\n%s", command.c_str(), kUsage);
   return 2;
 }
