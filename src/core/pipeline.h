@@ -81,6 +81,11 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
+  /// Steps after segmentation (noise, extract, assemble), each timed into
+  /// its span/pipeline/<stage> histogram.
+  Result<ml::Dataset> AssembleDataset(std::vector<traj::Segment> segments,
+                                      const LabelSet& labels) const;
+
   PipelineOptions options_;
   mutable PipelineStats stats_;
 };

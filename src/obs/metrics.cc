@@ -78,6 +78,27 @@ std::string SanitizePrometheusName(std::string_view prefix,
   return out;
 }
 
+/// The family of `name` in `families`, created empty on first use.
+template <typename Family>
+Family& FamilyOf(
+    std::map<std::string, std::unique_ptr<Family>, std::less<>>& families,
+    std::string_view name) {
+  auto it = families.find(name);
+  if (it == families.end()) {
+    it = families.emplace(std::string(name), std::make_unique<Family>())
+             .first;
+  }
+  return *it->second;
+}
+
+/// `name` for the unlabeled series, `name{shard="i"}` for a shard series —
+/// the one key both exports write a series under.
+std::string SeriesKey(std::string_view name, int shard) {
+  std::string key(name);
+  if (shard >= 0) key += "{shard=\"" + std::to_string(shard) + "\"}";
+  return key;
+}
+
 }  // namespace
 
 void Gauge::Add(double delta) { AtomicAdd(value_, delta); }
@@ -215,28 +236,55 @@ size_t HistogramSnapshot::QuantileBucketIndex(double q) const {
   return last_nonempty;
 }
 
+template <typename Series>
+typename MetricFamily<Series>::Value MetricFamily<Series>::value() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Value total{};
+  for (const auto& [shard, series] : series_) total += series->value();
+  return total;
+}
+
+template <typename Series>
+std::vector<std::pair<int, const Series*>> MetricFamily<Series>::series()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::pair<int, const Series*>> out;
+  out.reserve(series_.size());
+  for (const auto& [shard, series] : series_) {
+    out.emplace_back(shard, series.get());
+  }
+  return out;
+}
+
+template <typename Series>
+Series& MetricFamily<Series>::SeriesFor(int shard) {
+  shard = std::max(shard, -1);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = std::lower_bound(
+      series_.begin(), series_.end(), shard,
+      [](const auto& entry, int key) { return entry.first < key; });
+  if (it == series_.end() || it->first != shard) {
+    it = series_.emplace(it, shard, std::make_unique<Series>());
+  }
+  return *it->second;
+}
+
+template class MetricFamily<Counter>;
+template class MetricFamily<Gauge>;
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }
 
-Counter& MetricsRegistry::GetCounter(std::string_view name) {
+Counter& MetricsRegistry::GetCounter(std::string_view name, int shard) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
+  return FamilyOf(counters_, name).SeriesFor(shard);
 }
 
-Gauge& MetricsRegistry::GetGauge(std::string_view name) {
+Gauge& MetricsRegistry::GetGauge(std::string_view name, int shard) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
+  return FamilyOf(gauges_, name).SeriesFor(shard);
 }
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
@@ -256,13 +304,14 @@ void MetricsRegistry::SetInfo(std::string_view name, std::string_view value) {
   info_[std::string(name)] = std::string(value);
 }
 
-const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
+const CounterFamily* MetricsRegistry::FindCounter(
+    std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
+const GaugeFamily* MetricsRegistry::FindGauge(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : it->second.get();
@@ -284,26 +333,30 @@ std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\n  \"counters\": {";
   bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendJsonString(out, name);
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), ": %llu",
-                  static_cast<unsigned long long>(counter->value()));
-    out += buffer;
+  for (const auto& [name, family] : counters_) {
+    for (const auto& [shard, counter] : family->series()) {
+      out += first ? "\n" : ",\n";
+      first = false;
+      out += "    ";
+      AppendJsonString(out, SeriesKey(name, shard));
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), ": %llu",
+                    static_cast<unsigned long long>(counter->value()));
+      out += buffer;
+    }
   }
   out += first ? "},\n" : "\n  },\n";
 
   out += "  \"gauges\": {";
   first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    AppendJsonString(out, name);
-    out += ": " + FormatDouble(gauge->value());
+  for (const auto& [name, family] : gauges_) {
+    for (const auto& [shard, gauge] : family->series()) {
+      out += first ? "\n" : ",\n";
+      first = false;
+      out += "    ";
+      AppendJsonString(out, SeriesKey(name, shard));
+      out += ": " + FormatDouble(gauge->value());
+    }
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -375,19 +428,24 @@ std::string MetricsRegistry::ToPrometheusText(std::string_view prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   char buffer[64];
-  for (const auto& [name, counter] : counters_) {
+  for (const auto& [name, family] : counters_) {
     const std::string metric = SanitizePrometheusName(prefix, name);
     out += "# HELP " + metric + " trajkit metric " + name + "\n";
     out += "# TYPE " + metric + " counter\n";
-    std::snprintf(buffer, sizeof(buffer), " %llu\n",
-                  static_cast<unsigned long long>(counter->value()));
-    out += metric + buffer;
+    for (const auto& [shard, counter] : family->series()) {
+      std::snprintf(buffer, sizeof(buffer), " %llu\n",
+                    static_cast<unsigned long long>(counter->value()));
+      out += SeriesKey(metric, shard) + buffer;
+    }
   }
-  for (const auto& [name, gauge] : gauges_) {
+  for (const auto& [name, family] : gauges_) {
     const std::string metric = SanitizePrometheusName(prefix, name);
     out += "# HELP " + metric + " trajkit metric " + name + "\n";
     out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + FormatDouble(gauge->value()) + "\n";
+    for (const auto& [shard, gauge] : family->series()) {
+      out += SeriesKey(metric, shard) + " " + FormatDouble(gauge->value()) +
+             "\n";
+    }
   }
   for (const auto& [name, histogram] : histograms_) {
     const HistogramSnapshot snap = histogram->snapshot();
@@ -433,11 +491,12 @@ std::string MetricsRegistry::ToPrometheusText(std::string_view prefix) const {
 }
 
 CounterSet::CounterSet(MetricsRegistry& registry, std::string_view base,
-                       const std::vector<std::string_view>& reasons) {
+                       const std::vector<std::string_view>& reasons,
+                       int shard) {
   counters_.reserve(reasons.size());
   for (const std::string_view reason : reasons) {
     std::string name = std::string(base) + "." + std::string(reason);
-    Counter& counter = registry.GetCounter(name);
+    Counter& counter = registry.GetCounter(name, shard);
     counters_.emplace_back(std::string(reason), &counter);
   }
 }
@@ -451,12 +510,6 @@ Counter& CounterSet::Of(std::string_view reason) {
   std::fprintf(stderr, "CounterSet: unknown reason '%.*s'\n",
                static_cast<int>(reason.size()), reason.data());
   std::abort();
-}
-
-uint64_t CounterSet::Total() const {
-  uint64_t total = 0;
-  for (const auto& [name, counter] : counters_) total += counter->value();
-  return total;
 }
 
 bool WriteTextFile(const std::string& path, std::string_view content) {

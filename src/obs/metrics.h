@@ -127,10 +127,46 @@ class Histogram {
   std::atomic<double> max_;
 };
 
+/// All series of one metric name: the unlabeled series and/or one series
+/// per `shard` label value. A sharded component resolves its own series
+/// once and increments only that one, so no series is ever a sum of
+/// others; readers that want the metric as a whole read value(), the sum
+/// over its series. Series are never removed, and their handles stay
+/// stable for the family's lifetime. The family mutex guards only the
+/// series list — writers touch their series' atomic, never the lock.
+template <typename Series>
+class MetricFamily {
+ public:
+  using Value = decltype(std::declval<const Series&>().value());
+
+  /// The family total: the sum over every series (relaxed loads).
+  Value value() const;
+
+  /// (shard, series) pairs in ascending shard order, the unlabeled series
+  /// (shard -1) first.
+  std::vector<std::pair<int, const Series*>> series() const;
+
+ private:
+  friend class MetricsRegistry;
+
+  /// The series of `shard` (< 0 = unlabeled), created on first use.
+  Series& SeriesFor(int shard);
+
+  mutable std::mutex mu_;
+  /// Sorted by shard.
+  std::vector<std::pair<int, std::unique_ptr<Series>>> series_;
+};
+
+using CounterFamily = MetricFamily<Counter>;
+using GaugeFamily = MetricFamily<Gauge>;
+
 /// Named metrics, one namespace per kind. Get* returns a stable reference,
 /// creating the metric on first use (GetHistogram's options only apply at
-/// creation). Exports are ordered by name, so two exports of the same
-/// state are byte-identical — tests golden-compare them.
+/// creation). Counters and gauges carry one optional label, `shard`: a
+/// component built as shard i resolves GetCounter(name, i) and writes the
+/// series `name{shard="i"}`. Exports are ordered by name, then shard, so
+/// two exports of the same state are byte-identical — tests
+/// golden-compare them.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -141,8 +177,10 @@ class MetricsRegistry {
   /// Never destroyed (pool workers may still record during exit).
   static MetricsRegistry& Global();
 
-  Counter& GetCounter(std::string_view name);
-  Gauge& GetGauge(std::string_view name);
+  /// The series of `name` for `shard`; a negative shard (the default) is
+  /// the unlabeled series.
+  Counter& GetCounter(std::string_view name, int shard = -1);
+  Gauge& GetGauge(std::string_view name, int shard = -1);
   Histogram& GetHistogram(
       std::string_view name,
       const HistogramOptions& options = HistogramOptions::LatencySeconds());
@@ -151,49 +189,49 @@ class MetricsRegistry {
   void SetInfo(std::string_view name, std::string_view value);
 
   /// Read-only lookups that never create: nullptr / "" when the metric
-  /// does not exist. Used by status pages that render a subset of the
-  /// registry without materializing absent metrics.
-  const Counter* FindCounter(std::string_view name) const;
-  const Gauge* FindGauge(std::string_view name) const;
+  /// does not exist. Counter and gauge lookups return the whole family,
+  /// whose value() is the sum over its series. Used by status pages and
+  /// the time-series store, which read a metric without materializing it.
+  const CounterFamily* FindCounter(std::string_view name) const;
+  const GaugeFamily* FindGauge(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;
   std::string InfoValue(std::string_view name) const;
 
   /// One JSON object: {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count,sum,min,max,mean,p50,p90,p99,buckets:[{le,count}...]}},
-  /// "info": {...}} — keys sorted, doubles formatted with %.12g.
+  /// "info": {...}} — keys sorted, doubles formatted with %.12g. A shard
+  /// series is keyed `name{shard="i"}`; no family total is written.
   std::string ToJson() const;
 
   /// Prometheus text exposition: names are prefixed and sanitized
-  /// ([^a-zA-Z0-9_:] -> '_'), every family gets a `# HELP`/`# TYPE`
-  /// pair, histograms use cumulative `_bucket{le=...}` series, info
-  /// metrics become `<name>{value="..."} 1` gauges.
+  /// ([^a-zA-Z0-9_:] -> '_'), every family gets one `# HELP`/`# TYPE`
+  /// pair followed by one sample per series (`metric{shard="i"}` for
+  /// shard series), histograms use cumulative `_bucket{le=...}` series,
+  /// info metrics become `<name>{value="..."} 1` gauges.
   std::string ToPrometheusText(std::string_view prefix = "trajkit_") const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::unique_ptr<CounterFamily>, std::less<>> counters_;
+  std::map<std::string, std::unique_ptr<GaugeFamily>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::string, std::less<>> info_;
 };
 
-/// A family of counters sharing one base name, keyed by a small fixed set
-/// of reasons: "<base>.<reason>". Handles are resolved once at
-/// construction (same cost model as a plain Counter — the registry mutex
-/// is never touched afterwards), and Total() folds the family for "did
-/// anything happen" checks. Used for per-reason outcome counting such as
-/// serve.shed_total.{queue_full,preempted}.
+/// A set of counters sharing one base name, keyed by a small fixed set of
+/// reasons: "<base>.<reason>". Handles are resolved once at construction
+/// (same cost model as a plain Counter — the registry mutex is never
+/// touched afterwards). Used for per-reason outcome counting such as
+/// serve.shed_total.{queue_full,preempted}; `shard` picks the series as in
+/// MetricsRegistry::GetCounter.
 class CounterSet {
  public:
   CounterSet(MetricsRegistry& registry, std::string_view base,
-             const std::vector<std::string_view>& reasons);
+             const std::vector<std::string_view>& reasons, int shard = -1);
 
   /// The counter of `reason`. Precondition: `reason` was in the
   /// constructor list (unknown reasons abort — the set is fixed).
   Counter& Of(std::string_view reason);
-
-  /// Sum over all reasons at this instant (relaxed loads).
-  uint64_t Total() const;
 
  private:
   std::vector<std::pair<std::string, Counter*>> counters_;

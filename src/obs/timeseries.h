@@ -140,9 +140,11 @@ class TimeSeriesStore {
 
   struct Series {
     Kind kind = Kind::kCounter;
-    // Lazily resolved handles (stable for the registry's lifetime).
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
+    // Lazily resolved handles (stable for the registry's lifetime). A
+    // counter or gauge samples its family total, so shard series created
+    // after the handle was resolved are still summed in.
+    const CounterFamily* counter = nullptr;
+    const GaugeFamily* gauge = nullptr;
     const Histogram* histogram = nullptr;
     std::deque<double> samples;       // counter/gauge rings
     std::deque<HistSample> hist;      // histogram ring

@@ -29,11 +29,11 @@ BatchPredictor::BatchPredictor(const ModelRegistry* registry,
     : registry_(registry),
       options_(std::move(options)),
       metric_requests_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.batch_predictor.requests")),
+          "serve.batch_predictor.requests", options_.shard)),
       metric_batches_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.batch_predictor.batches")),
+          "serve.batch_predictor.batches", options_.shard)),
       metric_queue_depth_(obs::MetricsRegistry::Global().GetGauge(
-          "serve.batch_predictor.queue_depth")),
+          "serve.batch_predictor.queue_depth", options_.shard)),
       metric_batch_size_(obs::MetricsRegistry::Global().GetHistogram(
           "serve.batch_predictor.batch_size",
           obs::HistogramOptions::Exponential(1.0, 2.0, 11))),
@@ -41,27 +41,14 @@ BatchPredictor::BatchPredictor(const ModelRegistry* registry,
           "serve.batch_predictor.latency_seconds",
           obs::HistogramOptions::LatencySeconds())),
       metric_shed_(obs::MetricsRegistry::Global(), "serve.shed_total",
-                   {"queue_full", "preempted"}),
+                   {"queue_full", "preempted"}, options_.shard),
       metric_degraded_(obs::MetricsRegistry::Global(), "serve.degraded_total",
-                       {"previous_model", "majority_class"}),
+                       {"previous_model", "majority_class"}, options_.shard),
       metric_deadline_exceeded_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.deadline_exceeded_total")),
+          "serve.deadline_exceeded_total", options_.shard)),
       metric_unavailable_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.unavailable_total")) {
+          "serve.unavailable_total", options_.shard)) {
   if (options_.max_batch_size == 0) options_.max_batch_size = 1;
-  if (options_.shard >= 0) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const std::string prefix = StrPrintf("serve.shard%d.", options_.shard);
-    shard_requests_ =
-        &registry.GetCounter(prefix + "batch_predictor.requests");
-    shard_shed_ = &registry.GetCounter(prefix + "shed_total");
-    shard_deadline_exceeded_ =
-        &registry.GetCounter(prefix + "deadline_exceeded_total");
-    shard_degraded_ = &registry.GetCounter(prefix + "degraded_total");
-    shard_unavailable_ = &registry.GetCounter(prefix + "unavailable_total");
-    shard_queue_depth_ =
-        &registry.GetGauge(prefix + "batch_predictor.queue_depth");
-  }
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
@@ -72,6 +59,9 @@ BatchPredictor::~BatchPredictor() {
   }
   cv_.notify_all();
   worker_.join();
+  // A shard's depth series would otherwise keep adding its last value to
+  // the family total after a later plane with fewer shards replaced it.
+  if (options_.shard >= 0) metric_queue_depth_.Set(0.0);
 }
 
 std::future<Result<Prediction>> BatchPredictor::Submit(
@@ -108,9 +98,6 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
       ++counters_.deadline_exceeded;
     }
     metric_deadline_exceeded_.Increment();
-    if (shard_deadline_exceeded_ != nullptr) {
-      shard_deadline_exceeded_->Increment();
-    }
     request.promise.set_value(
         Status::DeadlineExceeded("request deadline passed before enqueue"));
     if (traced) {
@@ -162,7 +149,6 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
   }
   if (shed_incoming) {
     metric_shed_.Of("queue_full").Increment();
-    if (shard_shed_ != nullptr) shard_shed_->Increment();
     if (traced) {
       TraceTerminal(tracer, trace_id, "shed", tracer.NowNs(),
                     /*tail_keep=*/true);
@@ -171,7 +157,6 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
   }
   if (shed_victim) {
     metric_shed_.Of("preempted").Increment();
-    if (shard_shed_ != nullptr) shard_shed_->Increment();
     if (traced) {
       TraceTerminal(tracer, victim_trace_id, "shed", tracer.NowNs(),
                     /*tail_keep=*/true);
@@ -179,9 +164,8 @@ std::future<Result<Prediction>> BatchPredictor::Submit(
   }
   cv_.notify_one();
   // Metrics after the notify so the worker's wakeup is not delayed.
-  SetQueueDepthGauge(static_cast<double>(depth));
+  metric_queue_depth_.Set(static_cast<double>(depth));
   metric_requests_.Increment();
-  if (shard_requests_ != nullptr) shard_requests_->Increment();
   return future;
 }
 
@@ -232,10 +216,7 @@ void BatchPredictor::SweepExpiredLocked(
   min_deadline_ = new_min;
   if (expired > 0) {
     metric_deadline_exceeded_.Increment(static_cast<uint64_t>(expired));
-    if (shard_deadline_exceeded_ != nullptr) {
-      shard_deadline_exceeded_->Increment(static_cast<uint64_t>(expired));
-    }
-    SetQueueDepthGauge(static_cast<double>(pending_.size()));
+    metric_queue_depth_.Set(static_cast<double>(pending_.size()));
   }
 }
 
@@ -253,7 +234,7 @@ std::vector<BatchPredictor::Request> BatchPredictor::TakeBatchLocked() {
   // request); the next sweep recomputes it, at worst one spurious wakeup.
   // A gauge store is cheap enough to keep under the lock; the batch
   // histogram observes happen in ProcessBatch, outside it.
-  SetQueueDepthGauge(static_cast<double>(pending_.size()));
+  metric_queue_depth_.Set(static_cast<double>(pending_.size()));
   return batch;
 }
 
@@ -317,7 +298,6 @@ bool BatchPredictor::AnswerWithLabelPrior(
   }
   metric_latency_.Observe(prediction.latency_seconds, exemplar_id);
   metric_degraded_.Of("majority_class").Increment();
-  if (shard_degraded_ != nullptr) shard_degraded_->Increment();
   request.promise.set_value(std::move(prediction));
   return true;
 }
@@ -325,14 +305,6 @@ bool BatchPredictor::AnswerWithLabelPrior(
 std::shared_ptr<const ServingModel> BatchPredictor::LastGoodModel() const {
   std::lock_guard<std::mutex> lock(last_good_mu_);
   return last_good_;
-}
-
-void BatchPredictor::SetQueueDepthGauge(double depth) {
-  if (shard_queue_depth_ != nullptr) {
-    shard_queue_depth_->Set(depth);
-  } else {
-    metric_queue_depth_.Set(depth);
-  }
 }
 
 void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
@@ -393,10 +365,6 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
   }
   if (!expired.empty()) {
     metric_deadline_exceeded_.Increment(static_cast<uint64_t>(expired.size()));
-    if (shard_deadline_exceeded_ != nullptr) {
-      shard_deadline_exceeded_->Increment(
-          static_cast<uint64_t>(expired.size()));
-    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.deadline_exceeded += expired.size();
@@ -443,9 +411,6 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
       }
     }
     metric_unavailable_.Increment(static_cast<uint64_t>(unavailable));
-    if (shard_unavailable_ != nullptr) {
-      shard_unavailable_->Increment(static_cast<uint64_t>(unavailable));
-    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.unavailable += unavailable;
@@ -526,9 +491,6 @@ void BatchPredictor::ProcessBatch(std::vector<Request> batch) {
   } else {
     metric_degraded_.Of("previous_model")
         .Increment(static_cast<uint64_t>(row_to_request.size()));
-    if (shard_degraded_ != nullptr) {
-      shard_degraded_->Increment(static_cast<uint64_t>(row_to_request.size()));
-    }
     std::lock_guard<std::mutex> lock(mu_);
     counters_.degraded += row_to_request.size();
   }

@@ -43,10 +43,10 @@ struct BatchPredictorOptions {
   /// nullptr = no fault injection.
   FaultInjector* fault_injector = nullptr;
   /// Shard index when this predictor is one shard of a ServingPlane; >= 0
-  /// additionally mirrors the lifecycle counters under "serve.shard<i>.*"
-  /// (requests, shed, deadline, degraded, unavailable, queue depth) so
-  /// statusz and the CI shard-determinism matrix can attribute load per
-  /// shard. -1 (default) = unsharded.
+  /// writes every counter and gauge as that shard's series (`{shard="i"}`)
+  /// so statusz and the CI shard-determinism matrix can attribute load per
+  /// shard; histograms stay unlabeled. -1 (default) = the unlabeled
+  /// series.
   int shard = -1;
   /// Shadow-scoring sink (not owned; must outlive the predictor). When set
   /// and the registry lease carries a shadow model, every healthy batch is
@@ -143,15 +143,12 @@ class BatchPredictor {
   /// Last model that successfully served an undegraded batch.
   std::shared_ptr<const ServingModel> LastGoodModel() const;
 
-  /// Stores the queue depth into the per-shard gauge when sharded, the
-  /// global one otherwise (shards must not clobber each other's depth).
-  void SetQueueDepthGauge(double depth);
-
   const ModelRegistry* registry_;
   BatchPredictorOptions options_;
 
-  /// Global-registry handles, resolved once in the constructor so the
-  /// enqueue/dispatch paths pay only relaxed atomic updates:
+  /// Global-registry handles (this predictor's series of each counter and
+  /// gauge), resolved once in the constructor so the enqueue/dispatch
+  /// paths pay only relaxed atomic updates:
   /// serve.batch_predictor.{requests,batches} counters, queue_depth gauge,
   /// batch_size and latency_seconds (enqueue→completion) histograms, plus
   /// the lifecycle outcome counters (serve.shed_total.*,
@@ -166,17 +163,6 @@ class BatchPredictor {
   obs::CounterSet metric_degraded_;  // serve.degraded_total.<level>
   obs::Counter& metric_deadline_exceeded_;
   obs::Counter& metric_unavailable_;
-  /// Per-shard mirrors (serve.shard<i>.*), resolved only when
-  /// BatchPredictorOptions::shard >= 0; null otherwise. The unlabelled
-  /// metrics above stay the cross-shard aggregate (they are incremented
-  /// regardless), except queue_depth: a sharded predictor writes only its
-  /// own shard gauge so shards do not clobber each other's depth.
-  obs::Counter* shard_requests_ = nullptr;
-  obs::Counter* shard_shed_ = nullptr;
-  obs::Counter* shard_deadline_exceeded_ = nullptr;
-  obs::Counter* shard_degraded_ = nullptr;
-  obs::Counter* shard_unavailable_ = nullptr;
-  obs::Gauge* shard_queue_depth_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

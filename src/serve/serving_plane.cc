@@ -19,9 +19,7 @@ uint64_t Mix64(uint64_t x) {
 }  // namespace
 
 ServingPlane::ServingPlane(const ModelRegistry* registry,
-                           ServingPlaneOptions options)
-    : metric_active_(
-          obs::MetricsRegistry::Global().GetGauge("serve.sessions.active")) {
+                           ServingPlaneOptions options) {
   const size_t shards = std::max<size_t>(1, options.shards);
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
@@ -42,7 +40,6 @@ void ServingPlane::Ingest(int64_t user_id,
                           const traj::TrajectoryPoint& point,
                           std::vector<ClosedSegment>* closed) {
   shards_[ShardOf(user_id)]->sessions.Ingest(user_id, point, closed);
-  SetActiveGauge();
 }
 
 void ServingPlane::EvictIdle(double now,
@@ -61,7 +58,6 @@ void ServingPlane::EvictIdle(double now,
   for (const auto& [session_id, s] : idle) {
     shards_[s]->sessions.CloseSession(session_id, CloseReason::kIdle, closed);
   }
-  SetActiveGauge();
 }
 
 void ServingPlane::FlushAll(std::vector<ClosedSegment>* closed) {
@@ -76,7 +72,6 @@ void ServingPlane::FlushAll(std::vector<ClosedSegment>* closed) {
     shards_[s]->sessions.CloseSession(session_id, CloseReason::kFlush,
                                       closed);
   }
-  SetActiveGauge();
 }
 
 std::future<Result<Prediction>> ServingPlane::Submit(int64_t user_id,
@@ -129,10 +124,6 @@ BatchPredictor::Counters ServingPlane::predictor_counters() const {
     total.unavailable += counters.unavailable;
   }
   return total;
-}
-
-void ServingPlane::SetActiveGauge() {
-  metric_active_.Set(static_cast<double>(num_open_sessions()));
 }
 
 }  // namespace trajkit::serve

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/metrics.h"
 #include "serve/batch_predictor.h"
 #include "serve/model_registry.h"
 #include "serve/request.h"
@@ -120,15 +119,9 @@ class ServingPlane {
     BatchPredictor predictor;
   };
 
-  /// Mirrors the summed open-session count into the aggregate
-  /// serve.sessions.active gauge (sharded managers write only their own
-  /// per-shard gauge).
-  void SetActiveGauge();
-
   /// unique_ptr: shards are immovable (mutexes, threads) and the vector
   /// is sized once in the constructor.
   std::vector<std::unique_ptr<Shard>> shards_;
-  obs::Gauge& metric_active_;
 };
 
 }  // namespace trajkit::serve

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/strings.h"
 #include "obs/request_trace.h"
 
 namespace trajkit::serve {
@@ -33,36 +32,31 @@ std::string_view CloseReasonToString(CloseReason reason) {
 SessionManager::SessionManager(SessionOptions options)
     : options_(options),
       metric_points_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_ingested")),
+          "serve.sessions.points_ingested", options_.shard)),
       metric_out_of_order_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_dropped_out_of_order")),
+          "serve.sessions.points_dropped_out_of_order", options_.shard)),
       metric_emitted_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_emitted")),
+          "serve.sessions.segments_emitted", options_.shard)),
       metric_discarded_short_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_discarded_short")),
+          "serve.sessions.segments_discarded_short", options_.shard)),
       metric_discarded_unlabeled_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_discarded_unlabeled")),
+          "serve.sessions.segments_discarded_unlabeled", options_.shard)),
       metric_evicted_idle_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.evicted_idle")),
+          "serve.sessions.evicted_idle", options_.shard)),
       metric_evicted_cap_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.evicted_cap")),
+          "serve.sessions.evicted_cap", options_.shard)),
       metric_active_(obs::MetricsRegistry::Global().GetGauge(
-          "serve.sessions.active")) {
+          "serve.sessions.active", options_.shard)) {
   for (size_t r = 0; r < metric_closed_by_reason_.size(); ++r) {
     metric_closed_by_reason_[r] = &obs::MetricsRegistry::Global().GetCounter(
         "serve.sessions.closed." +
-        std::string(CloseReasonToString(static_cast<CloseReason>(r))));
+            std::string(CloseReasonToString(static_cast<CloseReason>(r))),
+        options_.shard);
   }
-  if (options_.shard >= 0) {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const std::string prefix =
-        StrPrintf("serve.shard%d.sessions.", options_.shard);
-    shard_points_ = &registry.GetCounter(prefix + "points_ingested");
-    shard_emitted_ = &registry.GetCounter(prefix + "segments_emitted");
-    shard_evicted_idle_ = &registry.GetCounter(prefix + "evicted_idle");
-    shard_evicted_cap_ = &registry.GetCounter(prefix + "evicted_cap");
-    shard_active_ = &registry.GetGauge(prefix + "active");
-  }
+}
+
+SessionManager::~SessionManager() {
+  if (options_.shard >= 0) metric_active_.Set(0.0);
 }
 
 void SessionManager::CloseSegment(int64_t session_id, Session* session,
@@ -110,7 +104,6 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
     closed->push_back(std::move(segment));
     ++stats_.segments_emitted;
     metric_emitted_.Increment();
-    if (shard_emitted_ != nullptr) shard_emitted_->Increment();
     metric_closed_by_reason_[static_cast<size_t>(reason)]->Increment();
     if (closed_sink_) closed_sink_(closed->back());
   }
@@ -125,7 +118,6 @@ void SessionManager::Ingest(int64_t session_id,
                             std::vector<ClosedSegment>* closed) {
   ++stats_.points_ingested;
   metric_points_.Increment();
-  if (shard_points_ != nullptr) shard_points_->Increment();
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
   if (inserted) {
@@ -189,7 +181,7 @@ void SessionManager::Ingest(int64_t session_id,
   if (options_.max_sessions > 0 && sessions_.size() > options_.max_sessions) {
     CloseSession(lru_.back(), CloseReason::kSessionCap, closed);
   }
-  SetActiveGauges();
+  metric_active_.Set(static_cast<double>(sessions_.size()));
 }
 
 void SessionManager::EvictIdle(double now,
@@ -197,14 +189,12 @@ void SessionManager::EvictIdle(double now,
   for (int64_t session_id : IdleSessionIds(now)) {
     CloseSession(session_id, CloseReason::kIdle, closed);
   }
-  SetActiveGauges();
 }
 
 void SessionManager::FlushAll(std::vector<ClosedSegment>* closed) {
   for (int64_t session_id : OpenSessionIds()) {
     CloseSession(session_id, CloseReason::kFlush, closed);
   }
-  SetActiveGauges();
 }
 
 std::vector<int64_t> SessionManager::OpenSessionIds() const {
@@ -238,24 +228,11 @@ void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
   if (reason == CloseReason::kIdle) {
     ++stats_.sessions_evicted_idle;
     metric_evicted_idle_.Increment();
-    if (shard_evicted_idle_ != nullptr) shard_evicted_idle_->Increment();
   } else if (reason == CloseReason::kSessionCap) {
     ++stats_.sessions_evicted_cap;
     metric_evicted_cap_.Increment();
-    if (shard_evicted_cap_ != nullptr) shard_evicted_cap_->Increment();
   }
-  SetActiveGauges();
-}
-
-void SessionManager::SetActiveGauges() {
-  if (shard_active_ != nullptr) {
-    // Sharded: own only the per-shard gauge. The ServingPlane keeps the
-    // aggregate serve.sessions.active gauge (a per-shard write here would
-    // clobber it with one shard's count).
-    shard_active_->Set(static_cast<double>(sessions_.size()));
-  } else {
-    metric_active_.Set(static_cast<double>(sessions_.size()));
-  }
+  metric_active_.Set(static_cast<double>(sessions_.size()));
 }
 
 }  // namespace trajkit::serve

@@ -49,9 +49,9 @@ struct SessionOptions {
   /// production to keep closed segments small).
   bool keep_points = false;
   /// Shard index when this manager is one shard of a ServingPlane; >= 0
-  /// additionally mirrors the session counters under
-  /// "serve.shard<i>.sessions.*" so statusz and the CI shard-determinism
-  /// matrix can attribute load per shard. -1 (default) = unsharded.
+  /// writes every serve.sessions.* counter and gauge as that shard's
+  /// series (`{shard="i"}`) so statusz and the CI shard-determinism matrix
+  /// can attribute load per shard. -1 (default) = the unlabeled series.
   int shard = -1;
   /// Forwarded to the streaming feature extractor.
   traj::PointFeatureOptions point_features;
@@ -116,6 +116,12 @@ struct SessionManagerStats {
 class SessionManager {
  public:
   explicit SessionManager(SessionOptions options = {});
+  /// A shard manager zeroes its active-session series on the way out, so
+  /// a later plane with fewer shards does not count this one's sessions.
+  ~SessionManager();
+
+  SessionManager(const SessionManager&) = delete;
+  SessionManager& operator=(const SessionManager&) = delete;
 
   /// Ingests one fix for `session_id`. At most one boundary-closed segment
   /// plus one cap-evicted segment are appended to `closed`. Out-of-order
@@ -181,17 +187,14 @@ class SessionManager {
   void CloseSegment(int64_t session_id, Session* session, CloseReason reason,
                     std::vector<ClosedSegment>* closed);
 
-  /// Updates the active-session gauge: the per-shard one when sharded
-  /// (the ServingPlane owns the aggregate then), the global one otherwise.
-  void SetActiveGauges();
-
   SessionOptions options_;
   SessionManagerStats stats_;
   std::function<void(const ClosedSegment&)> closed_sink_;
   /// Process-wide mirrors of stats_ (serve.sessions.* counters, the
   /// serve.sessions.active gauge, and one serve.sessions.closed.<reason>
-  /// counter per CloseReason), resolved once at construction. stats_ stays
-  /// per-instance; the metrics aggregate across all managers.
+  /// counter per CloseReason): this manager's series of each, resolved
+  /// once at construction. stats_ stays per-instance; a metric's family
+  /// total sums all managers.
   obs::Counter& metric_points_;
   obs::Counter& metric_out_of_order_;
   obs::Counter& metric_emitted_;
@@ -201,14 +204,6 @@ class SessionManager {
   obs::Counter& metric_evicted_cap_;
   obs::Gauge& metric_active_;
   std::array<obs::Counter*, 7> metric_closed_by_reason_;
-  /// Per-shard mirrors (serve.shard<i>.sessions.*), resolved only when
-  /// SessionOptions::shard >= 0; null otherwise. The unshard-labelled
-  /// metrics above stay the cross-shard aggregate.
-  obs::Counter* shard_points_ = nullptr;
-  obs::Counter* shard_emitted_ = nullptr;
-  obs::Counter* shard_evicted_idle_ = nullptr;
-  obs::Counter* shard_evicted_cap_ = nullptr;
-  obs::Gauge* shard_active_ = nullptr;
   /// Ordered map: deterministic iteration for eviction and flush.
   std::map<int64_t, Session> sessions_;
   /// Recency list, most recently updated first.

@@ -3,22 +3,34 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-
-#include "common/strings.h"
+#include <set>
 
 namespace trajkit::serve {
 namespace {
 
+/// The family total of a counter or gauge; 0 when it does not exist.
 uint64_t CounterValue(const obs::MetricsRegistry& metrics,
                       std::string_view name) {
-  const obs::Counter* counter = metrics.FindCounter(name);
+  const obs::CounterFamily* counter = metrics.FindCounter(name);
   return counter == nullptr ? 0 : counter->value();
 }
 
 double GaugeValue(const obs::MetricsRegistry& metrics,
                   std::string_view name) {
-  const obs::Gauge* gauge = metrics.FindGauge(name);
+  const obs::GaugeFamily* gauge = metrics.FindGauge(name);
   return gauge == nullptr ? 0.0 : gauge->value();
+}
+
+/// One shard's series of a counter or gauge family; 0 when absent.
+template <typename Family>
+auto ShardValue(const Family* family, int shard)
+    -> decltype(family->value()) {
+  if (family != nullptr) {
+    for (const auto& [s, series] : family->series()) {
+      if (s == shard) return series->value();
+    }
+  }
+  return 0;
 }
 
 void Appendf(std::string& out, const char* format, ...) {
@@ -185,37 +197,41 @@ std::string RenderStatusPage(const obs::MetricsRegistry& metrics,
     }
   }
 
-  // Per-shard breakdown (serve.shard<i>.*): rendered only when a sharded
-  // ServingPlane is live in this process — shard 0's counters exist once
-  // one was built. Counts attribute load; the unlabelled metrics above
-  // stay the cross-shard aggregate.
+  // Per-shard breakdown: one line per `shard` label value the session or
+  // predictor series carry — rendered only when a ServingPlane was built
+  // in this process. Shed and degraded fold their reasons per shard.
   out += "shards\n";
-  if (metrics.FindCounter("serve.shard0.sessions.points_ingested") ==
-          nullptr &&
-      metrics.FindCounter("serve.shard0.batch_predictor.requests") ==
-          nullptr) {
-    out += "  (no data)\n";
-  } else {
-    for (int s = 0;; ++s) {
-      const std::string prefix = StrPrintf("serve.shard%d.", s);
-      const bool has_sessions =
-          metrics.FindCounter(prefix + "sessions.points_ingested") != nullptr;
-      const bool has_predictor =
-          metrics.FindCounter(prefix + "batch_predictor.requests") != nullptr;
-      if (!has_sessions && !has_predictor) break;
-      Appendf(out,
-              "  shard %d: points=%" PRIu64 " segments=%" PRIu64
-              " active=%.0f requests=%" PRIu64 " depth=%.0f shed=%" PRIu64
-              " degraded=%" PRIu64 " deadline=%" PRIu64 "\n",
-              s, CounterValue(metrics, prefix + "sessions.points_ingested"),
-              CounterValue(metrics, prefix + "sessions.segments_emitted"),
-              GaugeValue(metrics, prefix + "sessions.active"),
-              CounterValue(metrics, prefix + "batch_predictor.requests"),
-              GaugeValue(metrics, prefix + "batch_predictor.queue_depth"),
-              CounterValue(metrics, prefix + "shed_total"),
-              CounterValue(metrics, prefix + "degraded_total"),
-              CounterValue(metrics, prefix + "deadline_exceeded_total"));
+  std::set<int> shards;
+  for (const char* name :
+       {"serve.sessions.points_ingested", "serve.batch_predictor.requests"}) {
+    const obs::CounterFamily* family = metrics.FindCounter(name);
+    if (family == nullptr) continue;
+    for (const auto& [shard, series] : family->series()) {
+      if (shard >= 0) shards.insert(shard);
     }
+  }
+  if (shards.empty()) out += "  (no data)\n";
+  const auto counter = [&metrics](const char* name, int shard) {
+    return ShardValue(metrics.FindCounter(name), shard);
+  };
+  const auto gauge = [&metrics](const char* name, int shard) {
+    return ShardValue(metrics.FindGauge(name), shard);
+  };
+  for (const int s : shards) {
+    Appendf(out,
+            "  shard %d: points=%" PRIu64 " segments=%" PRIu64
+            " active=%.0f requests=%" PRIu64 " depth=%.0f shed=%" PRIu64
+            " degraded=%" PRIu64 " deadline=%" PRIu64 "\n",
+            s, counter("serve.sessions.points_ingested", s),
+            counter("serve.sessions.segments_emitted", s),
+            gauge("serve.sessions.active", s),
+            counter("serve.batch_predictor.requests", s),
+            gauge("serve.batch_predictor.queue_depth", s),
+            counter("serve.shed_total.queue_full", s) +
+                counter("serve.shed_total.preempted", s),
+            counter("serve.degraded_total.previous_model", s) +
+                counter("serve.degraded_total.majority_class", s),
+            counter("serve.deadline_exceeded_total", s));
   }
 
   out += "latency (serve.batch_predictor.latency_seconds)\n";

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/experiments.h"
 #include "core/label_sets.h"
 #include "core/pipeline.h"
 #include "geo/geodesy.h"
+#include "obs/metrics.h"
 #include "synthgeo/generator.h"
 #include "traj/trajectory_features.h"
 
@@ -136,6 +139,32 @@ TEST(PipelineTest, EmptyLabelMatchFails) {
   }
   const Pipeline pipeline;
   EXPECT_FALSE(pipeline.BuildDataset({trajectory}, LabelSet::Dabiri()).ok());
+}
+
+TEST(PipelineTest, BuildDatasetTimesEachStageOnce) {
+  // The stage timers write the process-wide registry, which other tests
+  // in this binary also feed: compare observation counts as deltas.
+  const std::vector<std::string> stages = {
+      "span/pipeline", "span/pipeline/segment", "span/pipeline/noise",
+      "span/pipeline/extract", "span/pipeline/assemble"};
+  const auto counts = [&stages] {
+    std::vector<uint64_t> out;
+    for (const std::string& name : stages) {
+      const obs::Histogram* histogram =
+          obs::MetricsRegistry::Global().FindHistogram(name);
+      out.push_back(histogram == nullptr ? 0 : histogram->count());
+    }
+    return out;
+  };
+  PipelineOptions options;
+  options.remove_noise = true;
+  const Pipeline pipeline(options);
+  const std::vector<uint64_t> before = counts();
+  ASSERT_TRUE(pipeline.BuildDataset(SmallCorpus(), LabelSet::Dabiri()).ok());
+  const std::vector<uint64_t> after = counts();
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 1u) << stages[i];
+  }
 }
 
 // ----------------------------------------------------------- Experiments --

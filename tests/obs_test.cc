@@ -1,9 +1,11 @@
 // Tests of the observability layer (src/obs/): histogram bucket and
 // quantile correctness, concurrent counter/histogram updates (run under
 // TSan via the `concurrency` ctest label), golden-file JSON and Prometheus
-// exports (deterministic ordering is part of the contract), and trace-span
-// nesting.
+// exports (deterministic ordering is part of the contract), shard-labeled
+// series, and scoped timers.
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -285,6 +287,62 @@ TEST(MetricsRegistryTest, GoldenPrometheusExport) {
   EXPECT_EQ(registry.ToPrometheusText("test_"), expected);
 }
 
+TEST(MetricsRegistryTest, ShardSeriesAreOneFamilyWithoutATotal) {
+  // A counter and a gauge family, each with an unlabeled series and two
+  // shard series, created out of order: exports sort by shard.
+  MetricsRegistry registry;
+  registry.GetCounter("c", 1).Increment(3);
+  registry.GetCounter("c").Increment(1);
+  registry.GetCounter("c", 0).Increment(2);
+  registry.GetGauge("g", 1).Set(2.0);
+  registry.GetGauge("g").Set(0.5);
+  registry.GetGauge("g", 0).Set(1.5);
+  EXPECT_EQ(&registry.GetCounter("c", 0), &registry.GetCounter("c", 0));
+  EXPECT_NE(&registry.GetCounter("c", 0), &registry.GetCounter("c"));
+  // In-process readers see the family total: the sum over its series.
+  ASSERT_NE(registry.FindCounter("c"), nullptr);
+  EXPECT_EQ(registry.FindCounter("c")->value(), 6u);
+  ASSERT_NE(registry.FindGauge("g"), nullptr);
+  EXPECT_DOUBLE_EQ(registry.FindGauge("g")->value(), 4.0);
+
+  // Each series once, under its `name{shard="i"}` key; no total line.
+  EXPECT_EQ(registry.ToJson(),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"c\": 1,\n"
+            "    \"c{shard=\\\"0\\\"}\": 2,\n"
+            "    \"c{shard=\\\"1\\\"}\": 3\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"g\": 0.5,\n"
+            "    \"g{shard=\\\"0\\\"}\": 1.5,\n"
+            "    \"g{shard=\\\"1\\\"}\": 2\n"
+            "  },\n"
+            "  \"histograms\": {},\n"
+            "  \"info\": {}\n"
+            "}\n");
+  // One HELP/TYPE header per family, one sample per series.
+  const std::string prom = registry.ToPrometheusText("test_");
+  EXPECT_EQ(prom,
+            "# HELP test_c trajkit metric c\n"
+            "# TYPE test_c counter\n"
+            "test_c 1\n"
+            "test_c{shard=\"0\"} 2\n"
+            "test_c{shard=\"1\"} 3\n"
+            "# HELP test_g trajkit metric g\n"
+            "# TYPE test_g gauge\n"
+            "test_g 0.5\n"
+            "test_g{shard=\"0\"} 1.5\n"
+            "test_g{shard=\"1\"} 2\n");
+
+  // The exposition passes the same lint the CI scrape smoke runs.
+  const std::string path = ::testing::TempDir() + "obs_test_labeled.prom";
+  std::ofstream(path) << prom;
+  const std::string lint = "python3 " TRAJKIT_SOURCE_DIR
+                           "/tools/check_prom.py " + path + " > /dev/null";
+  EXPECT_EQ(std::system(lint.c_str()), 0) << lint;
+}
+
 TEST(MetricsRegistryTest, PrometheusNamesAreSanitized) {
   MetricsRegistry registry;
   registry.GetCounter("serve.sessions.closed.mode-change").Increment();
@@ -317,49 +375,6 @@ TEST(ScopedTimerTest, RecordsOnceIntoHistogram) {
     ScopedTimer named("t2", registry);
   }
   EXPECT_EQ(registry.GetHistogram("t2").count(), 1u);
-}
-
-TEST(TraceSpanTest, NestingBuildsPathsAndUnwinds) {
-  MetricsRegistry registry;
-  EXPECT_EQ(TraceSpan::CurrentPath(), "");
-  EXPECT_EQ(TraceSpan::CurrentDepth(), 0);
-  {
-    TraceSpan outer("outer", registry);
-    EXPECT_EQ(TraceSpan::CurrentPath(), "outer");
-    EXPECT_EQ(TraceSpan::CurrentDepth(), 1);
-    {
-      TraceSpan inner("inner", registry);
-      EXPECT_EQ(inner.path(), "outer/inner");
-      EXPECT_EQ(TraceSpan::CurrentPath(), "outer/inner");
-      EXPECT_EQ(TraceSpan::CurrentDepth(), 2);
-    }
-    EXPECT_EQ(TraceSpan::CurrentPath(), "outer");
-    {
-      TraceSpan sibling("sibling", registry);
-      EXPECT_EQ(TraceSpan::CurrentPath(), "outer/sibling");
-    }
-  }
-  EXPECT_EQ(TraceSpan::CurrentPath(), "");
-  EXPECT_EQ(TraceSpan::CurrentDepth(), 0);
-  EXPECT_EQ(registry.GetHistogram("span/outer").count(), 1u);
-  EXPECT_EQ(registry.GetHistogram("span/outer/inner").count(), 1u);
-  EXPECT_EQ(registry.GetHistogram("span/outer/sibling").count(), 1u);
-  EXPECT_EQ(registry.GetCounter("span_calls/outer").value(), 1u);
-  EXPECT_EQ(registry.GetCounter("span_calls/outer/inner").value(), 1u);
-}
-
-TEST(TraceSpanTest, SpansAreThreadLocal) {
-  MetricsRegistry registry;
-  TraceSpan outer("main-span", registry);
-  std::thread worker([&registry] {
-    // A fresh thread starts outside any span, whatever the spawner holds.
-    EXPECT_EQ(TraceSpan::CurrentPath(), "");
-    TraceSpan span("worker-span", registry);
-    EXPECT_EQ(TraceSpan::CurrentPath(), "worker-span");
-  });
-  worker.join();
-  EXPECT_EQ(TraceSpan::CurrentPath(), "main-span");
-  EXPECT_EQ(registry.GetHistogram("span/worker-span").count(), 1u);
 }
 
 }  // namespace

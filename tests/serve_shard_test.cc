@@ -1,7 +1,7 @@
 // Tests for the sharded serving plane (src/serve/serving_plane.h): routing
 // stability, byte-identical replay output across shard counts, per-shard
-// LRU caps, the globally ascending cross-shard close order, per-shard
-// metric mirroring, and the two races CI reruns under TSan — parallel
+// LRU caps, the globally ascending cross-shard close order, shard-labeled
+// metric series, and the two races CI reruns under TSan — parallel
 // ingest across shards and model hot swaps under sharded predict.
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -96,10 +97,17 @@ std::vector<traj::TrajectoryPoint> WalkPoints(int64_t user_id, size_t n,
   return points;
 }
 
-uint64_t CounterVal(std::string_view name) {
-  const obs::Counter* counter =
+// Every series of counter family `name`, keyed by shard label (-1 is the
+// unlabeled series).
+std::map<int, uint64_t> SeriesOf(std::string_view name) {
+  std::map<int, uint64_t> out;
+  const obs::CounterFamily* family =
       obs::MetricsRegistry::Global().FindCounter(name);
-  return counter == nullptr ? 0 : counter->value();
+  if (family == nullptr) return out;
+  for (const auto& [shard, series] : family->series()) {
+    out[shard] = series->value();
+  }
+  return out;
 }
 
 // --------------------------------------------------------------- Routing --
@@ -283,31 +291,22 @@ TEST(ShardSessionTest, LruSessionCapIsEnforcedPerShard) {
   }
 }
 
-// -------------------------------------------------------- Metric mirrors --
+// --------------------------------------------------------- Metric series --
 
-TEST(ShardMetricsTest, PerShardCountersSumToAggregateDeltas) {
+TEST(ShardMetricsTest, ShardSeriesMatchEachShardsOwnCounts) {
   const ShardFixture& fixture = ShardFixture::Get();
-  constexpr size_t kShards = 4;
+  constexpr int kShards = 4;
   // Other tests in this binary (and earlier planes with more shards) have
-  // already bumped these process-wide counters: compare deltas, summing
-  // the shard mirrors over a range wider than this plane.
-  constexpr size_t kProbe = 16;
-  const uint64_t points_before = CounterVal("serve.sessions.points_ingested");
-  const uint64_t emitted_before =
-      CounterVal("serve.sessions.segments_emitted");
-  const uint64_t requests_before =
-      CounterVal("serve.batch_predictor.requests");
-  std::vector<uint64_t> shard_points_before(kProbe), shard_emitted_before(
-                                                        kProbe),
-      shard_requests_before(kProbe);
-  for (size_t s = 0; s < kProbe; ++s) {
-    const std::string prefix = "serve.shard" + std::to_string(s) + ".";
-    shard_points_before[s] = CounterVal(prefix + "sessions.points_ingested");
-    shard_emitted_before[s] =
-        CounterVal(prefix + "sessions.segments_emitted");
-    shard_requests_before[s] =
-        CounterVal(prefix + "batch_predictor.requests");
-  }
+  // already fed these process-wide families: compare per-series deltas.
+  const std::vector<std::string> families = {
+      "serve.sessions.points_ingested", "serve.sessions.segments_emitted",
+      "serve.sessions.evicted_idle",    "serve.sessions.evicted_cap",
+      "serve.batch_predictor.requests", "serve.shed_total.queue_full",
+      "serve.shed_total.preempted",     "serve.deadline_exceeded_total",
+      "serve.degraded_total.previous_model",
+      "serve.degraded_total.majority_class", "serve.unavailable_total"};
+  std::map<std::string, std::map<int, uint64_t>> before;
+  for (const std::string& name : families) before[name] = SeriesOf(name);
 
   ModelRegistry registry;
   ASSERT_TRUE(registry.Publish(fixture.model).ok());
@@ -317,32 +316,87 @@ TEST(ShardMetricsTest, PerShardCountersSumToAggregateDeltas) {
   const auto report = ReplayCorpus(fixture.corpus, fixture.labels, plane);
   ASSERT_TRUE(report.ok());
 
-  uint64_t shard_points = 0, shard_emitted = 0, shard_requests = 0;
-  size_t shards_with_points = 0;
-  for (size_t s = 0; s < kProbe; ++s) {
-    const std::string prefix = "serve.shard" + std::to_string(s) + ".";
-    const uint64_t delta = CounterVal(prefix + "sessions.points_ingested") -
-                           shard_points_before[s];
-    if (delta > 0) ++shards_with_points;
-    if (s >= kShards) {
-      EXPECT_EQ(delta, 0u) << "phantom shard " << s;
+  std::map<std::string, std::map<int, uint64_t>> delta;
+  for (const std::string& name : families) {
+    for (const auto& [shard, value] : SeriesOf(name)) {
+      delta[name][shard] = value - before[name][shard];
+      // No phantom series: only this plane's shards moved.
+      if (shard < 0 || shard >= kShards) {
+        EXPECT_EQ(delta[name][shard], 0u) << name << " shard " << shard;
+      }
     }
-    shard_points += delta;
-    shard_emitted += CounterVal(prefix + "sessions.segments_emitted") -
-                     shard_emitted_before[s];
-    shard_requests += CounterVal(prefix + "batch_predictor.requests") -
-                      shard_requests_before[s];
   }
-  // The shard mirrors partition the aggregates exactly.
-  EXPECT_EQ(shard_points,
-            CounterVal("serve.sessions.points_ingested") - points_before);
-  EXPECT_EQ(shard_emitted,
-            CounterVal("serve.sessions.segments_emitted") - emitted_before);
-  EXPECT_EQ(shard_requests,
-            CounterVal("serve.batch_predictor.requests") - requests_before);
-  EXPECT_EQ(shard_points, report->points);
+  uint64_t points = 0;
+  size_t shards_with_points = 0;
+  for (int s = 0; s < kShards; ++s) {
+    const SessionManagerStats& stats = plane.sessions(s).stats();
+    EXPECT_EQ(delta["serve.sessions.points_ingested"][s],
+              stats.points_ingested) << s;
+    EXPECT_EQ(delta["serve.sessions.segments_emitted"][s],
+              stats.segments_emitted) << s;
+    EXPECT_EQ(delta["serve.sessions.evicted_idle"][s],
+              stats.sessions_evicted_idle) << s;
+    EXPECT_EQ(delta["serve.sessions.evicted_cap"][s],
+              stats.sessions_evicted_cap) << s;
+    const BatchPredictor::Counters counters = plane.predictor(s).counters();
+    EXPECT_EQ(delta["serve.batch_predictor.requests"][s], counters.requests)
+        << s;
+    EXPECT_EQ(delta["serve.shed_total.queue_full"][s] +
+                  delta["serve.shed_total.preempted"][s],
+              counters.shed) << s;
+    EXPECT_EQ(delta["serve.deadline_exceeded_total"][s],
+              counters.deadline_exceeded) << s;
+    EXPECT_EQ(delta["serve.degraded_total.previous_model"][s] +
+                  delta["serve.degraded_total.majority_class"][s],
+              counters.degraded) << s;
+    EXPECT_EQ(delta["serve.unavailable_total"][s], counters.unavailable)
+        << s;
+    points += stats.points_ingested;
+    if (stats.points_ingested > 0) ++shards_with_points;
+  }
+  EXPECT_EQ(points, report->points);
   // 4 users over 4 shards: the fixture spreads across at least 2.
   EXPECT_GE(shards_with_points, 2u);
+}
+
+// A 2-shard plane holding N requests: every predictor writes its own depth
+// series, and the family total — what statusz's queue line reads — is N.
+TEST(ShardMetricsTest, QueueDepthTotalCountsEveryShardsHeldRequests) {
+  const ShardFixture& fixture = ShardFixture::Get();
+  constexpr size_t kHeld = 10;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  ServingPlaneOptions options;
+  options.shards = 2;
+  options.batching.max_batch_size = 64;
+  options.batching.max_delay_seconds = 30.0;  // Hold until flushed.
+  ServingPlane plane(&registry, options);
+
+  std::set<size_t> shards_used;
+  std::vector<std::future<Result<Prediction>>> futures;
+  for (size_t i = 0; i < kHeld; ++i) {
+    const auto row = fixture.dataset.features().Row(i);
+    const int64_t user = static_cast<int64_t>(i);
+    shards_used.insert(plane.ShardOf(user));
+    futures.push_back(
+        plane.Submit(user, PredictRequest({row.begin(), row.end()})));
+  }
+  ASSERT_EQ(shards_used.size(), 2u);
+
+  const obs::GaugeFamily* depth =
+      obs::MetricsRegistry::Global().FindGauge(
+          "serve.batch_predictor.queue_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_DOUBLE_EQ(depth->value(), static_cast<double>(kHeld));
+  const std::string page = RenderStatusPage(obs::MetricsRegistry::Global(),
+                                            obs::RequestTracer::Global());
+  EXPECT_NE(page.find("queue\n  depth: " + std::to_string(kHeld) + "\n"),
+            std::string::npos)
+      << page;
+
+  plane.FlushPredictors();
+  for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+  EXPECT_DOUBLE_EQ(depth->value(), 0.0);
 }
 
 TEST(ShardMetricsTest, StatusPageRendersPerShardSection) {
@@ -408,7 +462,9 @@ TEST(ShardConcurrencyTest, ParallelIngestAcrossShardsMatchesSerial) {
     plane.FlushAll(&serial_closed);
   }
 
-  // Parallel: one writer per shard, each driving only its own users.
+  // Parallel: one writer per shard, each driving only its own users —
+  // half of them through the plane's routing entry point (the documented
+  // multi-writer path), half straight into the shard's manager.
   ServingPlane plane(&registry, options);
   std::vector<std::vector<ClosedSegment>> per_thread(kShards);
   std::vector<std::thread> writers;
@@ -417,7 +473,11 @@ TEST(ShardConcurrencyTest, ParallelIngestAcrossShardsMatchesSerial) {
       for (int64_t user = 0; user < kUsers; ++user) {
         if (plane.ShardOf(user) != s) continue;
         for (const auto& point : streams[user]) {
-          plane.sessions(s).Ingest(user, point, &per_thread[s]);
+          if (user % 2 == 0) {
+            plane.Ingest(user, point, &per_thread[s]);
+          } else {
+            plane.sessions(s).Ingest(user, point, &per_thread[s]);
+          }
         }
       }
     });

@@ -5,17 +5,17 @@ Usage:
     tools/check_shard_metrics.py BASELINE.json SHARDED.json [SHARDED.json ...]
 
 BASELINE.json is the --shards=1 run; each SHARDED.json is the same replay
-at a different shard count. Two properties are enforced:
+at a different shard count. A sharded component writes each counter as
+its own `name{shard="i"}` series, so a metric's value is the sum of its
+family's series. Two properties are enforced:
 
-  1. Deterministic counters are IDENTICAL across every file. The allowlist
-     below names the counters whose values are a pure function of the
-     replayed corpus (the shard-determinism contract); timing-dependent
-     metrics (histograms, gauges, batch counts — batch composition depends
-     on dispatch timing) are deliberately excluded.
-  2. Shard-labelled counters (serve.shard<i>.<name>) in each sharded file
-     SUM, per basename, to the baseline's value of that deterministic
-     counter — the shard mirrors partition the aggregate, they never
-     double- or under-count.
+  1. Deterministic counter families SUM to IDENTICAL values across every
+     file. The allowlist below names the counters whose values are a pure
+     function of the replayed corpus (the shard-determinism contract);
+     timing-dependent metrics (histograms, gauges, batch counts — batch
+     composition depends on dispatch timing) are deliberately excluded.
+  2. Each sharded file carries series of at least 2 distinct shard labels
+     — a run that silently fell back to one shard proves nothing.
 
 Exit 0 when every file agrees; exit 1 with a per-key diff otherwise.
 """
@@ -42,65 +42,30 @@ DETERMINISTIC_PREFIXES = (
     "store.",
 )
 
-SHARD_RE = re.compile(r"^serve\.shard(\d+)\.(.+)$")
-
-# serve.shard<i>.<basename> -> the aggregate counter it partitions.
-SHARD_BASENAME_TO_AGGREGATE = {
-    "sessions.points_ingested": "serve.sessions.points_ingested",
-    "sessions.segments_emitted": "serve.sessions.segments_emitted",
-    "sessions.evicted_idle": "serve.sessions.evicted_idle",
-    "sessions.evicted_cap": "serve.sessions.evicted_cap",
-    "batch_predictor.requests": "serve.batch_predictor.requests",
-    "shed_total": "serve.shed_total",
-    "deadline_exceeded_total": "serve.deadline_exceeded_total",
-    "degraded_total": "serve.degraded_total",
-    "unavailable_total": "serve.unavailable_total",
-}
+# name{shard="i"} -> (name, i); a bare name is the unlabeled series.
+SERIES_RE = re.compile(r'^(?P<name>[^{]+)(?:\{shard="(?P<shard>\d+)"\})?$')
 
 
-def load_counters(path):
+def load(path):
+    """(family sums, shard labels, info) of one metrics JSON dump."""
     with open(path) as f:
         doc = json.load(f)
-    return doc.get("counters", {}), doc.get("info", {})
-
-
-def deterministic_view(counters):
-    """The unlabelled deterministic counters, shard mirrors excluded."""
-    view = {}
-    for key, value in sorted(counters.items()):
-        if SHARD_RE.match(key):
-            continue
-        if key.startswith(DETERMINISTIC_PREFIXES):
-            view[key] = value
-    return view
-
-
-def aggregate_of(key):
-    """Aggregate counter a shard-split total compares against.
-
-    serve.shed_total.* / serve.degraded_total.* are reason-labelled in the
-    aggregate but single counters per shard: fold the reasons together.
-    """
-    for prefix in ("serve.shed_total", "serve.degraded_total"):
-        if key.startswith(prefix):
-            return prefix
-    return key
-
-
-def shard_sums(counters):
-    """Shard-labelled counters summed per basename -> aggregate name."""
-    sums = {}
-    for key, value in counters.items():
-        match = SHARD_RE.match(key)
+    families = {}
+    shards = set()
+    for key, value in doc.get("counters", {}).items():
+        match = SERIES_RE.match(key)
         if match is None:
-            continue
-        basename = match.group(2)
-        aggregate = SHARD_BASENAME_TO_AGGREGATE.get(basename)
-        if aggregate is None:
-            sys.exit(f"unknown shard-labelled counter {key!r}: teach "
-                     "tools/check_shard_metrics.py its aggregate")
-        sums[aggregate] = sums.get(aggregate, 0) + value
-    return sums
+            sys.exit(f"{path}: unparsable counter key {key!r}")
+        name = match.group("name")
+        families[name] = families.get(name, 0) + value
+        if match.group("shard") is not None:
+            shards.add(int(match.group("shard")))
+    return families, shards, doc.get("info", {})
+
+
+def deterministic_view(families):
+    return {name: value for name, value in sorted(families.items())
+            if name.startswith(DETERMINISTIC_PREFIXES)}
 
 
 def main():
@@ -110,29 +75,22 @@ def main():
                         help="metrics JSONs of the sharded runs")
     args = parser.parse_args()
 
-    base_counters, base_info = load_counters(args.baseline)
-    base_view = deterministic_view(base_counters)
+    base_families, _, base_info = load(args.baseline)
+    base_view = deterministic_view(base_families)
     if not base_view:
         sys.exit(f"{args.baseline}: no deterministic serve counters found "
                  "(wrong file?)")
 
-    # Fold the baseline's reason-labelled aggregates once for property 2.
-    folded = {}
-    for key, value in base_view.items():
-        folded_key = aggregate_of(key)
-        if folded_key != key or folded_key in SHARD_BASENAME_TO_AGGREGATE.values():
-            folded[folded_key] = folded.get(folded_key, 0) + value
-
     failures = []
     for path in args.sharded:
-        counters, info = load_counters(path)
+        families, shards, info = load(path)
 
-        # Property 1: deterministic counters byte-equal.
-        view = deterministic_view(counters)
+        # Property 1: deterministic family sums equal.
+        view = deterministic_view(families)
         for key in sorted(set(base_view) | set(view)):
             if base_view.get(key) != view.get(key):
                 failures.append(
-                    f"{path}: {key} = {view.get(key)} != "
+                    f"{path}: sum over {key}'s series = {view.get(key)} != "
                     f"{base_view.get(key)} ({args.baseline})")
 
         # The active model version must agree too.
@@ -143,17 +101,11 @@ def main():
                 f"{path}: serve.registry.active_version = {version!r} != "
                 f"{base_version!r}")
 
-        # Property 2: shard mirrors partition the aggregates.
-        sums = shard_sums(counters)
-        if not sums:
-            failures.append(f"{path}: no serve.shard<i>.* counters "
-                            "(was this run actually sharded?)")
-        for aggregate, total in sorted(sums.items()):
-            expected = folded.get(aggregate, base_view.get(aggregate, 0))
-            if total != expected:
-                failures.append(
-                    f"{path}: sum over shards of {aggregate} = {total} != "
-                    f"{expected} (shards=1 aggregate)")
+        # Property 2: the run really was sharded.
+        if len(shards) < 2:
+            failures.append(f"{path}: series of {len(shards)} shard "
+                            "label(s), want >= 2 (was this run actually "
+                            "sharded?)")
 
     if failures:
         print("shard-determinism gate FAILED:", file=sys.stderr)
@@ -161,9 +113,9 @@ def main():
             print(f"  {failure}", file=sys.stderr)
         return 1
 
-    print(f"shard-determinism gate: {len(base_view)} deterministic counters "
-          f"identical across {1 + len(args.sharded)} runs; shard mirrors "
-          "sum to the shards=1 aggregates")
+    print(f"shard-determinism gate: {len(base_view)} deterministic counter "
+          f"families sum identically across {1 + len(args.sharded)} runs; "
+          "every sharded run spans >= 2 shard labels")
     return 0
 
 

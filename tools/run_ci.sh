@@ -78,8 +78,8 @@ python3 perfbench/selftest.py
 # Shard-determinism matrix: the sharding refactor must be invisible to
 # the replayed workload. One corpus, one model, three shard counts —
 # the per-segment predictions CSV and the lifecycle accounting line must
-# be byte-identical, and the deterministic metrics must agree modulo the
-# shard-labelled mirrors (which must sum back to the shards=1 totals).
+# be byte-identical, and each deterministic counter family must sum, over
+# its shard-labelled series, to the shards=1 value.
 echo "==> shard determinism: serve-replay at --shards=1/2/8"
 SHARD_OUT="$BUILD_DIR/shard-determinism"
 mkdir -p "$SHARD_OUT"
@@ -284,7 +284,11 @@ grep -E "lifecycle: .* degraded: previous_model=" "$CHAOS_OUT/replay.log" \
   }
 python3 - "$CHAOS_OUT/metrics.json" <<'EOF'
 import json, sys
-counters = json.load(open(sys.argv[1])).get("counters", {})
+# A metric's value is the sum of its family's `name{shard="i"}` series.
+counters = {}
+for key, value in json.load(open(sys.argv[1])).get("counters", {}).items():
+    name = key.split("{")[0]
+    counters[name] = counters.get(name, 0) + value
 shed = sum(v for k, v in counters.items() if k.startswith("serve.shed_total"))
 degraded = sum(
     v for k, v in counters.items() if k.startswith("serve.degraded_total"))
@@ -303,8 +307,9 @@ python3 tools/check_trace.py "$CHAOS_OUT/trace.json" \
 
 # The same chaos must bite when the plane is sharded: admission control
 # and the degradation ladder are per-shard now, so re-run at --shards=8
-# and re-assert the shed/degraded counters (the shard mirrors must light
-# up too — a silent fall-back to one shard would pass the first run).
+# and re-assert the shed/degraded family sums (series of >= 2 shard labels
+# must light up too — a silent fall-back to one shard would pass the first
+# run, and double-counting would show up in these sums).
 "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
   --model="$CHAOS_OUT/rf.model" --shards=8 \
   --deadline_ms=100 --max_queue=16 --retries=2 \
@@ -316,23 +321,29 @@ grep -E "lifecycle: .* degraded: previous_model=" "$CHAOS_OUT/replay_s8.log" \
     exit 1
   }
 python3 - "$CHAOS_OUT/metrics_s8.json" <<'EOF'
-import json, sys
-counters = json.load(open(sys.argv[1])).get("counters", {})
+import json, re, sys
+counters = {}
+shards = set()
+for key, value in json.load(open(sys.argv[1])).get("counters", {}).items():
+    name = key.split("{")[0]
+    counters[name] = counters.get(name, 0) + value
+    label = re.search(r'\{shard="(\d+)"\}$', key)
+    if label:
+        shards.add(label.group(1))
 shed = sum(v for k, v in counters.items()
            if k.startswith("serve.shed_total"))
 degraded = sum(v for k, v in counters.items()
                if k.startswith("serve.degraded_total"))
 previous_model = counters.get("serve.degraded_total.previous_model", 0)
-shard_counters = sum(1 for k in counters if k.startswith("serve.shard"))
 print(f"chaos smoke (shards=8): shed={shed} degraded={degraded} "
-      f"previous_model={previous_model} shard_counters={shard_counters}")
+      f"previous_model={previous_model} shard_labels={len(shards)}")
 if shed + degraded == 0:
     sys.exit("chaos smoke (shards=8): fault spec injected nothing")
 if previous_model == 0:
     sys.exit("chaos smoke (shards=8): the last-good-snapshot rung was "
              "never exercised")
-if shard_counters == 0:
-    sys.exit("chaos smoke (shards=8): no serve.shard<i>.* counters — "
+if len(shards) < 2:
+    sys.exit("chaos smoke (shards=8): series of < 2 shard labels — "
              "the plane silently ran unsharded")
 EOF
 
