@@ -199,8 +199,8 @@ int RunTimingGate(const trajkit::HarnessOptions& harness) {
   timing.RecordLap("predict_flat_single_s", watch);
 
   // Point-feature kernels: 64 synthetic segments of 1024 fixes through the
-  // full 70-feature extraction (columnar channel loops + shared-sort
-  // percentiles).
+  // full 70-feature extraction (columnar channel loops + per-channel
+  // statistics).
   trajkit::Rng rng(11);
   std::vector<std::vector<trajkit::traj::TrajectoryPoint>> segments(64);
   for (auto& segment : segments) {
@@ -222,6 +222,21 @@ int RunTimingGate(const trajkit::HarnessOptions& harness) {
     benchmark::DoNotOptimize(extractor.ExtractFromPointFeatures(features));
   }
   timing.RecordLap("point_features_s", watch);
+
+  // The same work split into its two layers, as untracked sub-laps (not in
+  // BENCH_baseline.json): the per-fix channel kernel alone, then the
+  // per-segment statistics alone on already computed channels.
+  std::vector<trajkit::traj::PointFeatures> channels;
+  channels.reserve(segments.size());
+  watch.Reset();
+  for (const auto& segment : segments) {
+    channels.push_back(trajkit::traj::ComputePointFeatures(segment));
+  }
+  timing.RecordLap("point_kernel_s", watch);
+  for (const auto& features : channels) {
+    benchmark::DoNotOptimize(extractor.ExtractFromPointFeatures(features));
+  }
+  timing.RecordLap("segment_stats_s", watch);
   return timing.Write() ? 0 : 1;
 }
 

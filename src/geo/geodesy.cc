@@ -10,17 +10,26 @@ bool IsValid(const LatLon& p) {
          p.lon_deg <= 180.0;
 }
 
-double HaversineMeters(const LatLon& a, const LatLon& b) {
-  const double lat1 = DegToRad(a.lat_deg);
-  const double lat2 = DegToRad(b.lat_deg);
-  const double dlat = lat2 - lat1;
+namespace {
+
+// The haversine distance of a pair, given the cosines of both latitudes:
+// the one formula behind HaversineMeters and DistanceAndBearing.
+double HaversineOfCos(const LatLon& a, double cos_lat_a, const LatLon& b,
+                      double cos_lat_b) {
+  const double dlat = DegToRad(b.lat_deg) - DegToRad(a.lat_deg);
   const double dlon = DegToRad(b.lon_deg - a.lon_deg);
   const double sin_dlat = std::sin(dlat / 2.0);
   const double sin_dlon = std::sin(dlon / 2.0);
-  double h = sin_dlat * sin_dlat +
-             std::cos(lat1) * std::cos(lat2) * sin_dlon * sin_dlon;
+  double h = sin_dlat * sin_dlat + cos_lat_a * cos_lat_b * sin_dlon * sin_dlon;
   h = std::clamp(h, 0.0, 1.0);
   return 2.0 * kEarthRadiusMeters * std::asin(std::sqrt(h));
+}
+
+}  // namespace
+
+double HaversineMeters(const LatLon& a, const LatLon& b) {
+  return HaversineOfCos(a, std::cos(DegToRad(a.lat_deg)), b,
+                        std::cos(DegToRad(b.lat_deg)));
 }
 
 double InitialBearingDeg(const LatLon& a, const LatLon& b) {
@@ -32,6 +41,26 @@ double InitialBearingDeg(const LatLon& a, const LatLon& b) {
   const double x = std::cos(lat1) * std::sin(lat2) -
                    std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
   return NormalizeBearingDeg(RadToDeg(std::atan2(y, x)));
+}
+
+LatitudeTrig LatitudeTrigOf(const LatLon& p) {
+  const double lat = DegToRad(p.lat_deg);
+  return LatitudeTrig{std::sin(lat), std::cos(lat)};
+}
+
+DistanceBearing DistanceAndBearing(const LatLon& a, const LatitudeTrig& ta,
+                                   const LatLon& b, const LatitudeTrig& tb) {
+  DistanceBearing out;
+  out.distance_m = HaversineOfCos(a, ta.cos_lat, b, tb.cos_lat);
+  if (a == b) return out;
+  // InitialBearingDeg's expressions, with sin/cos of lat1 and lat2 read
+  // from `ta` and `tb`.
+  const double dlon = DegToRad(b.lon_deg - a.lon_deg);
+  const double y = std::sin(dlon) * tb.cos_lat;
+  const double x = ta.cos_lat * tb.sin_lat -
+                   ta.sin_lat * tb.cos_lat * std::cos(dlon);
+  out.bearing_deg = NormalizeBearingDeg(RadToDeg(std::atan2(y, x)));
+  return out;
 }
 
 LatLon Destination(const LatLon& origin, double bearing_deg,
@@ -53,16 +82,25 @@ LatLon Destination(const LatLon& origin, double bearing_deg,
   return LatLon{RadToDeg(lat2), lon2_deg};
 }
 
+namespace {
+
+// fmod(x, 360.0), which is exact and returns x itself when |x| < 360: the
+// in-range case skips the call. NaN and ±inf fail the test and keep fmod.
+double Fmod360(double x) {
+  return std::fabs(x) < 360.0 ? x : std::fmod(x, 360.0);
+}
+
+}  // namespace
+
 double NormalizeBearingDeg(double bearing_deg) {
-  double b = std::fmod(bearing_deg, 360.0);
+  double b = Fmod360(bearing_deg);
   if (b < 0.0) b += 360.0;
   return b;
 }
 
 double BearingDifferenceDeg(double a_deg, double b_deg) {
   double diff =
-      std::fmod(NormalizeBearingDeg(b_deg) - NormalizeBearingDeg(a_deg),
-                360.0);
+      Fmod360(NormalizeBearingDeg(b_deg) - NormalizeBearingDeg(a_deg));
   if (diff > 180.0) diff -= 360.0;
   if (diff <= -180.0) diff += 360.0;
   return diff;

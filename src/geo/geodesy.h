@@ -37,6 +37,31 @@ double HaversineMeters(const LatLon& a, const LatLon& b);
 /// to [0, 360). Bearing from a point to itself is defined as 0.
 double InitialBearingDeg(const LatLon& a, const LatLon& b);
 
+/// Sine and cosine of a coordinate's latitude: the part of
+/// DistanceAndBearing that depends on one fix only, so a run of fixes
+/// computes it once per fix instead of once per pair side.
+struct LatitudeTrig {
+  double sin_lat = 0.0;
+  double cos_lat = 1.0;
+};
+
+/// sin and cos of DegToRad(p.lat_deg).
+LatitudeTrig LatitudeTrigOf(const LatLon& p);
+
+/// Distance in meters and initial bearing in degrees of one pair of fixes.
+struct DistanceBearing {
+  double distance_m = 0.0;
+  double bearing_deg = 0.0;
+};
+
+/// HaversineMeters(a, b) and InitialBearingDeg(a, b) bit for bit, given
+/// `ta` = LatitudeTrigOf(a) and `tb` = LatitudeTrigOf(b): the distance is
+/// HaversineMeters' own formula fed the cached cosines, and the bearing
+/// makes InitialBearingDeg's libm calls on the same arguments, with the
+/// four latitude terms shared.
+DistanceBearing DistanceAndBearing(const LatLon& a, const LatitudeTrig& ta,
+                                   const LatLon& b, const LatitudeTrig& tb);
+
 /// Solves the direct geodesy problem on the sphere: the point reached by
 /// travelling `distance_m` meters from `origin` along `bearing_deg`.
 LatLon Destination(const LatLon& origin, double bearing_deg,

@@ -49,6 +49,10 @@ BatchPredictor::BatchPredictor(const ModelRegistry* registry,
       metric_unavailable_(obs::MetricsRegistry::Global().GetCounter(
           "serve.unavailable_total", options_.shard)) {
   if (options_.max_batch_size == 0) options_.max_batch_size = 1;
+  // The model active at construction is the first last-good snapshot, so
+  // a registry that stalls before this predictor has served a clean batch
+  // still falls back to it rather than to the label prior.
+  last_good_ = registry_->Acquire().active;
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 

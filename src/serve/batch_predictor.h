@@ -140,7 +140,8 @@ class BatchPredictor {
   bool AnswerWithLabelPrior(Request& request,
                             std::chrono::steady_clock::time_point done);
 
-  /// Last model that successfully served an undegraded batch.
+  /// Last model that successfully served an undegraded batch (initially
+  /// the registry's active model at construction).
   std::shared_ptr<const ServingModel> LastGoodModel() const;
 
   const ModelRegistry* registry_;
@@ -176,7 +177,8 @@ class BatchPredictor {
   Counters counters_;
 
   /// Degradation rung 1: the snapshot that served the most recent
-  /// undegraded batch, used when the registry has no usable model.
+  /// undegraded batch (before the first one, the model that was active at
+  /// construction), used when the registry has no usable model.
   mutable std::mutex last_good_mu_;
   std::shared_ptr<const ServingModel> last_good_;
 

@@ -24,7 +24,8 @@ namespace trajkit::serve {
 enum class DegradationLevel {
   kNone = 0,           ///< Served by the active model.
   kPreviousModel = 1,  ///< Active model unusable; served by the last good
-                       ///< snapshot the predictor had cached.
+                       ///< snapshot the predictor had cached (the model
+                       ///< active when it was built, until it serves).
   kMajorityClass = 2,  ///< No usable model; label-prior majority class.
 };
 

@@ -1,22 +1,25 @@
 #include "serve/streaming_features.h"
 
-#include "common/check.h"
 #include "geo/geodesy.h"
 
 namespace trajkit::serve {
 
 void StreamingFeatureExtractor::Add(const traj::TrajectoryPoint& point) {
+  const geo::LatitudeTrig trig = geo::LatitudeTrigOf(point.pos);
   if (num_points_ == 0) {
     last_point_ = point;
+    last_trig_ = trig;
     num_points_ = 1;
     return;
   }
 
   double dt = point.timestamp - last_point_.timestamp;
   if (dt < options_.min_duration_seconds) dt = options_.min_duration_seconds;
-  const double distance = geo::HaversineMeters(last_point_.pos, point.pos);
+  const geo::DistanceBearing step =
+      geo::DistanceAndBearing(last_point_.pos, last_trig_, point.pos, trig);
+  const double distance = step.distance_m;
   const double speed = distance / dt;
-  const double bearing = geo::InitialBearingDeg(last_point_.pos, point.pos);
+  const double bearing = step.bearing_deg;
 
   // The batch kernel backfills index 0 with copies of index 1 *between* its
   // passes, so the derived channels at index 1 are computed against their
@@ -42,7 +45,6 @@ void StreamingFeatureExtractor::Add(const traj::TrajectoryPoint& point) {
   // stay index-aligned with ComputePointFeatures' arrays.
   const int copies = second ? 2 : 1;
   for (int c = 0; c < copies; ++c) {
-    features_.duration.push_back(dt);
     features_.distance.push_back(distance);
     features_.speed.push_back(speed);
     features_.acceleration.push_back(acceleration);
@@ -50,21 +52,11 @@ void StreamingFeatureExtractor::Add(const traj::TrajectoryPoint& point) {
     features_.bearing.push_back(bearing);
     features_.bearing_rate.push_back(bearing_rate);
     features_.bearing_rate_rate.push_back(bearing_rate_rate);
-    for (int channel = 0; channel < traj::kNumFeatureChannels; ++channel) {
-      live_[static_cast<size_t>(channel)].Add(
-          traj::ChannelValues(features_, channel).back());
-    }
   }
 
   last_point_ = point;
+  last_trig_ = trig;
   ++num_points_;
-}
-
-const stats::RunningStats& StreamingFeatureExtractor::LiveStats(
-    int channel) const {
-  TRAJKIT_CHECK_GE(channel, 0);
-  TRAJKIT_CHECK_LT(channel, traj::kNumFeatureChannels);
-  return live_[static_cast<size_t>(channel)];
 }
 
 Result<std::vector<double>> StreamingFeatureExtractor::Flush() const {
@@ -78,8 +70,13 @@ Result<std::vector<double>> StreamingFeatureExtractor::Flush() const {
 
 void StreamingFeatureExtractor::Reset() {
   num_points_ = 0;
-  features_ = traj::PointFeatures{};
-  live_ = {};
+  features_.distance.clear();
+  features_.speed.clear();
+  features_.acceleration.clear();
+  features_.jerk.clear();
+  features_.bearing.clear();
+  features_.bearing_rate.clear();
+  features_.bearing_rate_rate.clear();
 }
 
 }  // namespace trajkit::serve

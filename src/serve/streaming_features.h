@@ -1,12 +1,11 @@
 #ifndef TRAJKIT_SERVE_STREAMING_FEATURES_H_
 #define TRAJKIT_SERVE_STREAMING_FEATURES_H_
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
 #include "common/result.h"
-#include "stats/descriptive.h"
+#include "geo/geodesy.h"
 #include "traj/point_features.h"
 #include "traj/trajectory_features.h"
 #include "traj/types.h"
@@ -21,16 +20,16 @@ namespace trajkit::serve {
 /// Flush() is **bit-identical** to the offline path
 /// `TrajectoryFeatureExtractor::Extract` on the same points. This holds
 /// because (a) the per-point derivations below replicate
-/// `traj::ComputePointFeatures` operation-for-operation — including the
-/// index-0 backfill ("the speed of the first trajectory point is equal to
-/// the speed of the second") — so the accumulated channel buffers equal the
-/// batch kernel's output arrays, and (b) Flush() feeds those buffers
-/// through the very same statistics code the batch extractor uses. The
-/// order-sensitive percentile/median features are the reason the channel
-/// values are buffered per open segment (the buffer is bounded by the
-/// session layer's max-window close rule) instead of folded into streaming
-/// accumulators; the streaming `stats::RunningStats` are additionally
-/// maintained per channel for zero-flush live monitoring.
+/// `traj::ComputePointFeatures` operation-for-operation — the same
+/// `geo::DistanceAndBearing` kernel with the previous fix's latitude trig
+/// cached, and the index-0 backfill ("the speed of the first trajectory
+/// point is equal to the speed of the second") — so the accumulated channel
+/// buffers equal the batch kernel's output arrays, and (b) Flush() feeds
+/// those buffers through the very same statistics code the batch extractor
+/// uses. The order-sensitive percentile/median features are the reason the
+/// channel values are buffered per open segment (the buffer is bounded by
+/// the session layer's max-window close rule) instead of folded into
+/// streaming accumulators.
 class StreamingFeatureExtractor {
  public:
   explicit StreamingFeatureExtractor(traj::PointFeatureOptions options = {})
@@ -42,14 +41,9 @@ class StreamingFeatureExtractor {
   /// Number of points ingested since construction / the last Reset().
   size_t num_points() const { return num_points_; }
 
-  /// Live Welford accumulator of a point-feature channel (index as in
-  /// `traj::ChannelNames()`): count/min/max/mean/stddev without a flush.
-  /// Tracks exactly the values the batch kernel would emit, including the
-  /// duplicated index-0 backfill.
-  const stats::RunningStats& LiveStats(int channel) const;
-
   /// The accumulated point-feature channels (index-aligned with the batch
-  /// kernel's output for the same points).
+  /// kernel's output for the same points). `duration` is left empty: no
+  /// statistic reads it.
   const traj::PointFeatures& point_features() const { return features_; }
 
   /// Computes the 70 trajectory features of the open segment. Returns
@@ -57,15 +51,16 @@ class StreamingFeatureExtractor {
   /// reset; callers may keep streaming afterwards.
   Result<std::vector<double>> Flush() const;
 
-  /// Clears all state for reuse on the next segment.
+  /// Clears all state for reuse on the next segment. The channel buffers
+  /// keep their capacity.
   void Reset();
 
  private:
   traj::PointFeatureOptions options_;
   size_t num_points_ = 0;
   traj::TrajectoryPoint last_point_;
+  geo::LatitudeTrig last_trig_;
   traj::PointFeatures features_;
-  std::array<stats::RunningStats, traj::kNumFeatureChannels> live_;
 };
 
 }  // namespace trajkit::serve

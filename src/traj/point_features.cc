@@ -22,7 +22,7 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
   f.bearing_rate_rate.resize(n);
 
   // One stride-1 loop per channel: the geodesy pass below isolates the
-  // libm calls (sin/cos/atan2 in haversine and bearing), and every
+  // libm calls (sin/cos/asin/atan2 of distance and bearing), and every
   // derivative chain after it is a pure subtract/divide loop over already
   // materialized columns — the shape compilers auto-vectorize. Each
   // element's arithmetic is unchanged from the interleaved form, so the
@@ -33,9 +33,15 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
     f.duration[i] =
         dt < options.min_duration_seconds ? options.min_duration_seconds : dt;
   }
+  // Each fix's latitude sine and cosine serve both pairs it belongs to.
+  geo::LatitudeTrig prev_trig = geo::LatitudeTrigOf(points[0].pos);
   for (size_t i = 1; i < n; ++i) {
-    f.distance[i] = geo::HaversineMeters(points[i - 1].pos, points[i].pos);
-    f.bearing[i] = geo::InitialBearingDeg(points[i - 1].pos, points[i].pos);
+    const geo::LatitudeTrig trig = geo::LatitudeTrigOf(points[i].pos);
+    const geo::DistanceBearing step = geo::DistanceAndBearing(
+        points[i - 1].pos, prev_trig, points[i].pos, trig);
+    f.distance[i] = step.distance_m;
+    f.bearing[i] = step.bearing_deg;
+    prev_trig = trig;
   }
   for (size_t i = 1; i < n; ++i) {
     f.speed[i] = f.distance[i] / f.duration[i];
@@ -49,7 +55,7 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
     f.acceleration[i] = (f.speed[i] - f.speed[i - 1]) / f.duration[i];
   }
   if (options.wrap_bearing_difference) {
-    // Wrapping calls into fmod; its own loop keeps the pure loops clean.
+    // Wrapping may call fmod; its own loop keeps the pure loops clean.
     for (size_t i = 1; i < n; ++i) {
       f.bearing_rate[i] =
           geo::BearingDifferenceDeg(f.bearing[i - 1], f.bearing[i]) /

@@ -1,6 +1,5 @@
 #include "traj/trajectory_features.h"
 
-#include <algorithm>
 #include <array>
 
 #include "common/check.h"
@@ -69,20 +68,21 @@ std::vector<double> TrajectoryFeatureExtractor::ExtractFromPointFeatures(
     const PointFeatures& features) const {
   std::vector<double> out;
   out.reserve(kNumTrajectoryFeatures);
-  std::vector<double> sorted;  // Percentile scratch, reused across channels.
+  std::vector<double> scratch;  // Reused across channels.
   std::array<double, kLocalPercentiles.size()> pct;
   for (int channel = 0; channel < kNumFeatureChannels; ++channel) {
-    const std::span<const double> values = ChannelValues(features, channel);
-    // All six order statistics (median + five local percentiles) share ONE
-    // sort per channel: Median(v) is defined as Percentile(v, 50), which is
-    // bit-identical to the p50 entry of the shared-sort batch below.
-    stats::PercentilesInto(values, kLocalPercentiles, sorted, pct);
+    // One copy pass folds min, max and the sum, a second the variance; the
+    // median and the five local percentiles come from the same selected
+    // copy (Median(v) is defined as Percentile(v, 50), so the median is
+    // the p50 entry).
+    const stats::Summary summary = stats::SummarizeInto(
+        ChannelValues(features, channel), kLocalPercentiles, scratch, pct);
     // Global features.
-    out.push_back(stats::Min(values));
-    out.push_back(stats::Max(values));
-    out.push_back(stats::Mean(values));
+    out.push_back(summary.min);
+    out.push_back(summary.max);
+    out.push_back(summary.mean);
     out.push_back(pct[2]);  // median
-    out.push_back(stats::StdDev(values));
+    out.push_back(summary.stddev);
     // Local features (p10/p25/p50/p75/p90).
     out.insert(out.end(), pct.begin(), pct.end());
   }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "geo/geodesy.h"
@@ -100,6 +103,122 @@ TEST(GeodesyTest, EnuRoundTripAtReference) {
   projector.Forward(LatLon{39.9, 116.4}, &e, &n);
   EXPECT_NEAR(e, 0.0, 1e-9);
   EXPECT_NEAR(n, 0.0, 1e-9);
+}
+
+// ----------------------------------------- Shared-trig pair kernel --
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// DistanceAndBearing against the two single-purpose kernels, bit for bit.
+void ExpectKernelMatches(const LatLon& a, const LatLon& b) {
+  const DistanceBearing got =
+      DistanceAndBearing(a, LatitudeTrigOf(a), b, LatitudeTrigOf(b));
+  EXPECT_TRUE(SameBits(got.distance_m, HaversineMeters(a, b)))
+      << a.lat_deg << "," << a.lon_deg << " -> " << b.lat_deg << ","
+      << b.lon_deg << ": " << got.distance_m;
+  EXPECT_TRUE(SameBits(got.bearing_deg, InitialBearingDeg(a, b)))
+      << a.lat_deg << "," << a.lon_deg << " -> " << b.lat_deg << ","
+      << b.lon_deg << ": " << got.bearing_deg;
+}
+
+TEST(DistanceAndBearingTest, MatchesSeparateKernelsOnSpecialPairs) {
+  const std::vector<LatLon> points = {
+      {90.0, 0.0},     {90.0, 123.4},       {-90.0, 0.0},
+      {-90.0, -45.0},  {89.9999999, 10.0},  {0.0, 180.0},
+      {0.0, -180.0},   {10.0, 179.9999999}, {10.0, -179.9999999},
+      {0.0, 0.0},      {-0.0, -0.0},        {20.0, 30.0},
+      {-20.0, -150.0}, {39.9042, 116.4074}, {39.9042, 116.4074000001}};
+  for (const LatLon& a : points) {
+    for (const LatLon& b : points) ExpectKernelMatches(a, b);
+  }
+  // Antipodes hit the clamp at h = 1 and the bearing's atan2 at the
+  // degenerate x = y = 0 neighbourhood.
+  ExpectKernelMatches({0.0, 0.0}, {0.0, 180.0});
+  ExpectKernelMatches({45.0, 10.0}, {-45.0, -170.0});
+  ExpectKernelMatches({90.0, 0.0}, {-90.0, 0.0});
+}
+
+TEST(DistanceAndBearingTest, MatchesSeparateKernelsOnSeededPairs) {
+  Rng rng(1607);
+  for (int i = 0; i < 4000; ++i) {
+    const LatLon a{rng.Uniform(-90.0, 90.0), rng.Uniform(-180.0, 180.0)};
+    ExpectKernelMatches(a, {rng.Uniform(-90.0, 90.0),
+                            rng.Uniform(-180.0, 180.0)});
+    // GPS-scale steps, the replay's case.
+    ExpectKernelMatches(a, {a.lat_deg + rng.Gaussian(0.0, 1e-4),
+                            a.lon_deg + rng.Gaussian(0.0, 1e-4)});
+    ExpectKernelMatches(a, a);
+  }
+}
+
+TEST(DistanceAndBearingTest, NonFiniteInputsStayNaN) {
+  // Bit for bit, NaN signs included: the kernel must not drift from the
+  // single kernels even where only the operand order of a product decides
+  // which NaN comes out.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const LatLon fine{39.9, 116.4};
+  for (const LatLon& bad :
+       {LatLon{nan, 116.4}, LatLon{39.9, nan}, LatLon{-nan, 116.4},
+        LatLon{nan, -nan}, LatLon{inf, 0.0}, LatLon{0.0, -inf}}) {
+    for (const LatLon& other : {fine, LatLon{-nan, 0.0}, LatLon{nan, nan},
+                                LatLon{-inf, 10.0}, bad}) {
+      for (const auto& [a, b] :
+           {std::pair{bad, other}, std::pair{other, bad}}) {
+        ExpectKernelMatches(a, b);
+        EXPECT_TRUE(std::isnan(HaversineMeters(a, b)));
+      }
+    }
+  }
+}
+
+// The fmod forms the in-range fast paths must reproduce.
+double NormalizeWithFmod(double bearing_deg) {
+  double b = std::fmod(bearing_deg, 360.0);
+  if (b < 0.0) b += 360.0;
+  return b;
+}
+
+double DifferenceWithFmod(double a_deg, double b_deg) {
+  double diff =
+      std::fmod(NormalizeWithFmod(b_deg) - NormalizeWithFmod(a_deg), 360.0);
+  if (diff > 180.0) diff -= 360.0;
+  if (diff <= -180.0) diff += 360.0;
+  return diff;
+}
+
+TEST(GeodesyTest, BearingFastPathsMatchFmodForms) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> angles = {0.0,
+                                -0.0,
+                                std::nextafter(360.0, 0.0),
+                                360.0,
+                                -360.0,
+                                std::nextafter(-360.0, 0.0),
+                                720.0,
+                                -1e-20,
+                                180.0,
+                                -180.0,
+                                359.5,
+                                -359.5,
+                                1e300,
+                                inf,
+                                -inf,
+                                std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(360);
+  for (int i = 0; i < 200; ++i) {
+    angles.push_back(rng.Uniform(-1000.0, 1000.0));
+  }
+  for (const double a : angles) {
+    EXPECT_TRUE(SameBits(NormalizeBearingDeg(a), NormalizeWithFmod(a))) << a;
+    for (const double b : angles) {
+      EXPECT_TRUE(SameBits(BearingDifferenceDeg(a, b),
+                           DifferenceWithFmod(a, b)))
+          << a << " " << b;
+    }
+  }
 }
 
 // Property suite: pseudo-random city-scale points.

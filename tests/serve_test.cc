@@ -9,8 +9,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,27 +162,6 @@ TEST(StreamingFeaturesTest, BitIdenticalWithUnwrappedBearings) {
   }
 }
 
-TEST(StreamingFeaturesTest, LiveStatsTrackBatchChannels) {
-  Rng rng(3);
-  const auto points = RandomSegmentPoints(rng, 40);
-  StreamingFeatureExtractor streaming;
-  for (const auto& point : points) streaming.Add(point);
-  const traj::PointFeatures batch = traj::ComputePointFeatures(points);
-  for (int channel = 0; channel < traj::kNumFeatureChannels; ++channel) {
-    const std::span<const double> values =
-        traj::ChannelValues(batch, channel);
-    const stats::RunningStats& live = streaming.LiveStats(channel);
-    ASSERT_EQ(live.count(), values.size());
-    double lo = values[0], hi = values[0];
-    for (const double v : values) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    EXPECT_EQ(live.min(), lo);
-    EXPECT_EQ(live.max(), hi);
-  }
-}
-
 TEST(StreamingFeaturesTest, FlushNeedsTwoPointsAndResetClears) {
   Rng rng(5);
   StreamingFeatureExtractor streaming;
@@ -198,6 +179,77 @@ TEST(StreamingFeaturesTest, FlushNeedsTwoPointsAndResetClears) {
   const auto other = RandomSegmentPoints(rng, 30);
   for (const auto& point : other) streaming.Add(point);
   EXPECT_EQ(streaming.Flush().value(), BatchFeatures(other));
+}
+
+// ------------------------------------------------ Golden feature digest --
+
+// FNV-1a 64 over the bit patterns of every feature value, in order.
+struct FeatureDigest {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  size_t vectors = 0;
+
+  void Add(const std::vector<double>& features) {
+    for (const double value : features) {
+      uint64_t bits;
+      std::memcpy(&bits, &value, sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xffu;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+    ++vectors;
+  }
+};
+
+// Pins every bit of the 70-feature kernel on a fixed corpus: the batch
+// extractor on whole segments and on 32-point windows (the serving
+// max-window length), and the streaming extractor, reused through Reset(),
+// on the same whole segments and windows. The digests were recorded before
+// the kernel's percentile selection, fused passes and shared per-fix trig
+// went in; any drift in a single bit of any feature fails here. They hold
+// for IEEE doubles under glibc's libm, which the corpus generator and the
+// geodesy kernels both call.
+TEST(FeatureGoldenTest, DigestsOfEveryVectorArePinned) {
+  synthgeo::GeneratorOptions generator_options;
+  generator_options.num_users = 5;
+  generator_options.days_per_user = 3;
+  generator_options.seed = 16;
+  const std::vector<traj::Trajectory> corpus =
+      synthgeo::GeoLifeLikeGenerator(generator_options).Generate();
+  const std::vector<traj::Segment> segments =
+      traj::SegmentCorpus(corpus, traj::SegmentationOptions{});
+  ASSERT_FALSE(segments.empty());
+
+  constexpr size_t kWindow = 32;
+  const traj::TrajectoryFeatureExtractor extractor;
+  StreamingFeatureExtractor streaming;
+  FeatureDigest full, windows, streamed;
+  size_t points = 0;
+  const auto stream = [&](std::span<const traj::TrajectoryPoint> run) {
+    streaming.Reset();
+    for (const auto& point : run) streaming.Add(point);
+    streamed.Add(streaming.Flush().value());
+  };
+  for (const traj::Segment& segment : segments) {
+    points += segment.points.size();
+    full.Add(extractor.Extract(segment).value());
+    stream(segment.points);
+    for (size_t begin = 0; begin + 2 <= segment.points.size();
+         begin += kWindow) {
+      const size_t end = std::min(begin + kWindow, segment.points.size());
+      traj::Segment window;
+      window.points.assign(segment.points.begin() + begin,
+                           segment.points.begin() + end);
+      windows.Add(extractor.Extract(window).value());
+      stream(window.points);
+    }
+  }
+  EXPECT_EQ(segments.size(), 56u);
+  EXPECT_EQ(points, 34080u);
+  EXPECT_EQ(windows.vectors, 1090u);
+  EXPECT_EQ(full.hash, 0x191bc43c02d2c668ULL);
+  EXPECT_EQ(windows.hash, 0xf6f41878e9953e54ULL);
+  EXPECT_EQ(streamed.hash, 0x9ba09dc206bc77f9ULL);
 }
 
 // -------------------------------------------------- Segmentation parity --
@@ -848,6 +900,28 @@ TEST(BatchPredictorTest, RegistryStallFallsBackToPreviousGoodModel) {
   EXPECT_EQ(result.value().model_version, "v1");
   EXPECT_EQ(result.value().label, fixture.offline_predictions[1]);
   EXPECT_GE(predictor.counters().degraded, 1u);
+}
+
+TEST(BatchPredictorTest, StallBeforeAnyCleanBatchServesStartupModel) {
+  const ReplayFixture& fixture = ReplayFixture::Get();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(fixture.model).ok());
+  FaultSpec spec;
+  spec.swap_stall_p = 1.0;  // The very first batch loses the registry.
+  FaultInjector injector(spec);
+  BatchPredictorOptions options;
+  options.fault_injector = &injector;
+  options.label_prior = {2.0, 1.0};
+  BatchPredictor predictor(&registry, options);
+
+  // The model active at construction is the snapshot: the previous-model
+  // rung answers, not the label prior, and bit-identically to offline.
+  const auto result = predictor.Submit(PredictRequest(FixtureRow(2))).get();
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().degradation, DegradationLevel::kPreviousModel);
+  EXPECT_EQ(result.value().model_version, "v1");
+  EXPECT_EQ(result.value().label, fixture.offline_predictions[2]);
+  EXPECT_EQ(predictor.counters().degraded, 1u);
 }
 
 TEST(BatchPredictorTest, NoModelAnywhereFallsBackToLabelPrior) {

@@ -261,6 +261,11 @@ echo "scrape smoke: ok (port $PORT, with an idle client connected)"
 # request accounted — the CLI itself fails on a lifecycle leak) AND the
 # chaos must actually bite: at least one request shed or degraded, with
 # the last-good-snapshot rung (previous_model) demonstrably exercised.
+# Both hold by construction rather than by batch timing: under fault seed
+# 21 the first draw of the stream is a swap stall without a predict
+# failure, the first dispatched batch (on whichever shard) takes it, and
+# every predictor starts with the published model as its last-good
+# snapshot, so that batch is answered at previous_model.
 # The same run dumps the flight recorder; tools/check_trace.py proves
 # the Chrome trace is loadable, every span's trace id resolves in the
 # request log, and a fault-injected request was tail-kept.
@@ -274,7 +279,7 @@ mkdir -p "$CHAOS_OUT"
 "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
   --model="$CHAOS_OUT/rf.model" \
   --deadline_ms=100 --max_queue=16 --retries=2 \
-  --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=3" \
+  --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=21" \
   --metrics_json="$CHAOS_OUT/metrics.json" \
   --trace_json="$CHAOS_OUT/trace.json" | tee "$CHAOS_OUT/replay.log"
 grep -E "lifecycle: .* degraded: previous_model=" "$CHAOS_OUT/replay.log" \
@@ -313,7 +318,7 @@ python3 tools/check_trace.py "$CHAOS_OUT/trace.json" \
 "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
   --model="$CHAOS_OUT/rf.model" --shards=8 \
   --deadline_ms=100 --max_queue=16 --retries=2 \
-  --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=3" \
+  --fault_spec="swap_stall:p=0.2,latency_ms=5;predict_fail:p=0.2;batch_delay:p=0.3,latency_ms=2;seed=21" \
   --metrics_json="$CHAOS_OUT/metrics_s8.json" | tee "$CHAOS_OUT/replay_s8.log"
 grep -E "lifecycle: .* degraded: previous_model=" "$CHAOS_OUT/replay_s8.log" \
   >/dev/null || {
