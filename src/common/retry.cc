@@ -10,26 +10,10 @@ bool IsRetryableStatus(const Status& status) {
   return status.code() == StatusCode::kUnavailable;
 }
 
-Backoff::Backoff(RetryOptions options, uint64_t seed)
-    : options_(options), rng_(seed) {
-  options_.initial_backoff_seconds =
-      std::max(options_.initial_backoff_seconds, 0.0);
-  options_.max_backoff_seconds =
-      std::max(options_.max_backoff_seconds, options_.initial_backoff_seconds);
-  options_.multiplier = std::max(options_.multiplier, 1.0);
-  options_.jitter = std::clamp(options_.jitter, 0.0, 1.0);
-  next_base_ = options_.initial_backoff_seconds;
-}
-
 double Backoff::NextDelaySeconds() {
-  const double base = std::min(next_base_, options_.max_backoff_seconds);
-  next_base_ = std::min(next_base_ * options_.multiplier,
-                        options_.max_backoff_seconds);
-  ++attempts_;
-  // Jitter draws are consumed even when jitter == 0 so that toggling the
-  // knob does not shift the rest of a seeded stream.
-  const double u = rng_.NextDouble();
-  return base * (1.0 - options_.jitter * u);
+  const double base = next_base_;
+  next_base_ = std::min(next_base_ * kBackoffMultiplier, kBackoffMaxSeconds);
+  return base * (1.0 - kBackoffJitter * rng_.NextDouble());
 }
 
 void SleepForSeconds(double seconds) {

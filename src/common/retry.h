@@ -1,36 +1,27 @@
 #ifndef TRAJKIT_COMMON_RETRY_H_
 #define TRAJKIT_COMMON_RETRY_H_
 
-// Retry-with-backoff helpers for transient failures: a jittered
-// exponential Backoff schedule (deterministic under a seeded RNG, so
-// chaos-replay runs are reproducible) and a generic RetryWithBackoff
-// driver. Used by the serving replay loop to resubmit requests that
-// resolved with a retryable status (fault-injected Unavailable).
+// Backoff for transient failures: a jittered exponential Backoff schedule,
+// deterministic under a seeded RNG so chaos-replay runs are reproducible.
+// The serving replay loop sleeps one delay of it per round of requests it
+// resubmits after a retryable status (fault-injected Unavailable).
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 
-#include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 
 namespace trajkit {
 
-/// Knobs of a jittered exponential backoff schedule.
-struct RetryOptions {
-  /// Total attempts, including the first; <= 1 means no retries.
-  int max_attempts = 3;
-  /// Delay before the first retry, before jitter.
-  double initial_backoff_seconds = 0.001;
-  /// Growth factor per retry.
-  double multiplier = 2.0;
-  /// Upper bound on the un-jittered delay.
-  double max_backoff_seconds = 0.050;
-  /// Fraction of the delay randomized away: the emitted delay is uniform
-  /// in [(1 - jitter) * base, base]. 0 = fully deterministic spacing.
-  double jitter = 0.5;
-};
+/// Delay before the first retry, before jitter.
+inline constexpr double kBackoffInitialSeconds = 0.001;
+/// Growth factor per retry.
+inline constexpr double kBackoffMultiplier = 2.0;
+/// Upper bound on the un-jittered delay.
+inline constexpr double kBackoffMaxSeconds = 0.050;
+/// Fraction of the delay randomized away: the emitted delay is uniform in
+/// [(1 - kBackoffJitter) * base, base].
+inline constexpr double kBackoffJitter = 0.5;
 
 /// True for status codes worth retrying: transient failures
 /// (kUnavailable), as opposed to deterministic errors (bad request,
@@ -38,59 +29,24 @@ struct RetryOptions {
 bool IsRetryableStatus(const Status& status);
 
 /// A jittered exponential backoff schedule. Two Backoff instances built
-/// from the same options and seed emit the same delay sequence
-/// (the jitter draws come from a private seeded Rng).
+/// from the same seed emit the same delay sequence (the jitter draws come
+/// from a private seeded Rng).
 class Backoff {
  public:
-  Backoff(RetryOptions options, uint64_t seed);
+  explicit Backoff(uint64_t seed) : rng_(seed) {}
 
-  /// The next delay in seconds: base * multiplier^k clamped to
-  /// max_backoff_seconds, jittered down by up to `jitter`.
+  /// The next delay in seconds: kBackoffInitialSeconds *
+  /// kBackoffMultiplier^k clamped to kBackoffMaxSeconds, jittered down by
+  /// up to kBackoffJitter.
   double NextDelaySeconds();
 
-  /// Restarts the schedule (the jitter stream is NOT rewound, so a reused
-  /// Backoff keeps drawing fresh jitter).
-  void Reset() { next_base_ = options_.initial_backoff_seconds; }
-
-  int attempts() const { return attempts_; }
-
  private:
-  RetryOptions options_;
   Rng rng_;
-  double next_base_;
-  int attempts_ = 0;
+  double next_base_ = kBackoffInitialSeconds;
 };
-
-/// Calls `fn` up to options.max_attempts times, sleeping the backoff
-/// delay between attempts via `sleep_fn(seconds)`. Retries only while
-/// `fn` returns a retryable status (IsRetryableStatus); the first
-/// success, non-retryable error, or the final attempt's result is
-/// returned. `sleep_fn` is injectable so tests can run without wall-clock
-/// sleeps.
-template <typename T>
-Result<T> RetryWithBackoff(const RetryOptions& options, uint64_t seed,
-                           const std::function<Result<T>()>& fn,
-                           const std::function<void(double)>& sleep_fn) {
-  Backoff backoff(options, seed);
-  while (true) {
-    Result<T> result = fn();
-    if (result.ok() || !IsRetryableStatus(result.status()) ||
-        backoff.attempts() + 1 >= options.max_attempts) {
-      return result;
-    }
-    sleep_fn(backoff.NextDelaySeconds());
-  }
-}
 
 /// Blocks the calling thread for `seconds` (no-op for <= 0).
 void SleepForSeconds(double seconds);
-
-/// RetryWithBackoff with a real std::this_thread::sleep_for sleeper.
-template <typename T>
-Result<T> RetryWithBackoff(const RetryOptions& options, uint64_t seed,
-                           const std::function<Result<T>()>& fn) {
-  return RetryWithBackoff<T>(options, seed, fn, &SleepForSeconds);
-}
 
 }  // namespace trajkit
 

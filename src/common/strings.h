@@ -19,9 +19,6 @@ std::string_view StripWhitespace(std::string_view text);
 /// True iff `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-/// True iff `text` ends with `suffix`.
-bool EndsWith(std::string_view text, std::string_view suffix);
-
 /// ASCII lower-casing (locale independent).
 std::string ToLowerAscii(std::string_view text);
 

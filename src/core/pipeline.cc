@@ -12,8 +12,7 @@ Result<ml::Dataset> Pipeline::BuildDataset(
     const std::vector<traj::Trajectory>& corpus,
     const LabelSet& labels) const {
   // The whole 8-step run times into span/pipeline and each stage into
-  // span/pipeline/<stage>: segmentation here, noise/extract/assemble in
-  // AssembleDataset.
+  // span/pipeline/<stage>.
   obs::ScopedTimer timer("span/pipeline");
   std::vector<traj::Segment> segments;
   {
@@ -22,27 +21,6 @@ Result<ml::Dataset> Pipeline::BuildDataset(
                    ? traj::SegmentCorpus(corpus, options_.segmentation)
                    : traj::SegmentCorpusByWindows(corpus, options_.windows);
   }
-  return AssembleDataset(std::move(segments), labels);
-}
-
-std::vector<std::string> Pipeline::FeatureNames() const {
-  std::vector<std::string> names =
-      traj::TrajectoryFeatureExtractor::FeatureNames();
-  if (options_.include_extended_features) {
-    const std::vector<std::string>& extended = traj::ExtendedFeatureNames();
-    names.insert(names.end(), extended.begin(), extended.end());
-  }
-  return names;
-}
-
-Result<ml::Dataset> Pipeline::BuildDatasetFromSegments(
-    std::vector<traj::Segment> segments, const LabelSet& labels) const {
-  obs::ScopedTimer timer("span/pipeline");
-  return AssembleDataset(std::move(segments), labels);
-}
-
-Result<ml::Dataset> Pipeline::AssembleDataset(
-    std::vector<traj::Segment> segments, const LabelSet& labels) const {
   stats_ = PipelineStats{};
   stats_.segments_total = segments.size();
   obs::MetricsRegistry::Global()
@@ -64,9 +42,7 @@ Result<ml::Dataset> Pipeline::AssembleDataset(
   }
 
   const traj::TrajectoryFeatureExtractor extractor(options_.point_features);
-  traj::ExtendedFeatureOptions extended_options = options_.extended;
-  extended_options.point_features = options_.point_features;
-  const traj::ExtendedFeatureExtractor extended_extractor(extended_options);
+  const traj::ExtendedFeatureExtractor extended_extractor;
 
   // Cheap serial pass to pick the eligible segments, then the per-segment
   // 70(+)-dim extraction — the expensive part — runs in parallel, each
@@ -134,6 +110,16 @@ Result<ml::Dataset> Pipeline::AssembleDataset(
                           labels.class_names()));
   TRAJKIT_RETURN_IF_ERROR(dataset.SetTimes(std::move(times)));
   return dataset;
+}
+
+std::vector<std::string> Pipeline::FeatureNames() const {
+  std::vector<std::string> names =
+      traj::TrajectoryFeatureExtractor::FeatureNames();
+  if (options_.include_extended_features) {
+    const std::vector<std::string>& extended = traj::ExtendedFeatureNames();
+    names.insert(names.end(), extended.begin(), extended.end());
+  }
+  return names;
 }
 
 }  // namespace trajkit::core

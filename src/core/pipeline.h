@@ -43,7 +43,6 @@ struct PipelineOptions {
   /// Append the 8 Zheng-style segment-level features (extended_features.h)
   /// after the 70 statistics — the paper's future-work direction.
   bool include_extended_features = false;
-  traj::ExtendedFeatureOptions extended;
 };
 
 /// Counters from one BuildDataset call.
@@ -67,11 +66,6 @@ class Pipeline {
       const std::vector<traj::Trajectory>& corpus,
       const LabelSet& labels) const;
 
-  /// BuildDataset from pre-segmented data (reuses segmentation output
-  /// across label sets).
-  Result<ml::Dataset> BuildDatasetFromSegments(
-      std::vector<traj::Segment> segments, const LabelSet& labels) const;
-
   /// The emitted feature names (70, or 78 with extended features).
   std::vector<std::string> FeatureNames() const;
 
@@ -81,11 +75,6 @@ class Pipeline {
   const PipelineOptions& options() const { return options_; }
 
  private:
-  /// Steps after segmentation (noise, extract, assemble), each timed into
-  /// its span/pipeline/<stage> histogram.
-  Result<ml::Dataset> AssembleDataset(std::vector<traj::Segment> segments,
-                                      const LabelSet& labels) const;
-
   PipelineOptions options_;
   mutable PipelineStats stats_;
 };

@@ -133,9 +133,4 @@ void BoundingBox::Extend(const LatLon& p) {
   max_lon = std::max(max_lon, p.lon_deg);
 }
 
-bool BoundingBox::Contains(const LatLon& p) const {
-  return p.lat_deg >= min_lat && p.lat_deg <= max_lat &&
-         p.lon_deg >= min_lon && p.lon_deg <= max_lon;
-}
-
 }  // namespace trajkit::geo

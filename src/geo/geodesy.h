@@ -105,9 +105,6 @@ struct BoundingBox {
   /// Expands the box to include `p`.
   void Extend(const LatLon& p);
 
-  /// True iff `p` lies inside (inclusive).
-  bool Contains(const LatLon& p) const;
-
   /// True iff at least one point was added.
   bool IsInitialized() const { return min_lat <= max_lat; }
 };

@@ -177,12 +177,6 @@ Result<std::vector<traj::TrajectoryPoint>> ParsePltText(
   return points;
 }
 
-Result<std::vector<traj::TrajectoryPoint>> ReadPltFile(
-    const std::string& path) {
-  TRAJKIT_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return ParsePltText(content);
-}
-
 Result<std::vector<LabelInterval>> ParseLabelsText(std::string_view text) {
   std::vector<LabelInterval> intervals;
   size_t header_fields = 0;

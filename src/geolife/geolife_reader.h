@@ -25,10 +25,6 @@ struct LabelInterval {
 Result<std::vector<traj::TrajectoryPoint>> ParsePltText(
     std::string_view text);
 
-/// Reads and parses a .plt file from disk.
-Result<std::vector<traj::TrajectoryPoint>> ReadPltFile(
-    const std::string& path);
-
 /// Parses a GeoLife labels.txt ("Start Time\tEnd Time\tTransportation Mode"
 /// header plus tab-separated rows with "yyyy/mm/dd hh:mm:ss" timestamps).
 /// The line rules are ParsePltText's without the preamble: the first

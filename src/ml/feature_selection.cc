@@ -77,18 +77,6 @@ Result<std::vector<SelectionStep>> IncrementalRankingSelection(
   return steps;
 }
 
-std::vector<int> BestPrefix(const std::vector<SelectionStep>& steps) {
-  size_t best_len = 0;
-  double best_score = -1.0;
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i].score > best_score) {
-      best_score = steps[i].score;
-      best_len = i + 1;
-    }
-  }
-  return PrefixOfSize(steps, best_len);
-}
-
 std::vector<int> PrefixOfSize(const std::vector<SelectionStep>& steps,
                               size_t k) {
   TRAJKIT_CHECK_LE(k, steps.size());

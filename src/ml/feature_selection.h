@@ -40,10 +40,6 @@ Result<std::vector<SelectionStep>> IncrementalRankingSelection(
     const Dataset& dataset, const SubsetEvaluator& evaluator,
     std::span<const int> ranking, int max_features = 0);
 
-/// Feature indices of the best-scoring prefix of a selection curve
-/// (the "top 20 features get the highest accuracy" readout).
-std::vector<int> BestPrefix(const std::vector<SelectionStep>& steps);
-
 /// Feature indices of the prefix of exactly `k` steps.
 std::vector<int> PrefixOfSize(const std::vector<SelectionStep>& steps,
                               size_t k);

@@ -63,7 +63,6 @@ class Matrix {
   Matrix SelectColumns(std::span<const int> column_indices) const;
 
   const std::vector<double>& data() const { return data_; }
-  std::vector<double>& mutable_data() { return data_; }
 
  private:
   size_t rows_ = 0;

@@ -1,7 +1,6 @@
 #include "ml/normalize.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace trajkit::ml {
 
@@ -39,46 +38,6 @@ void MinMaxScaler::Transform(Matrix& features) const {
 }
 
 void MinMaxScaler::FitTransform(Matrix& features) {
-  Fit(features);
-  Transform(features);
-}
-
-void StandardScaler::Fit(const Matrix& features) {
-  TRAJKIT_CHECK(!features.empty());
-  const size_t cols = features.cols();
-  const double n = static_cast<double>(features.rows());
-  means_.assign(cols, 0.0);
-  stds_.assign(cols, 0.0);
-  for (size_t c = 0; c < cols; ++c) {
-    double sum = 0.0;
-    for (size_t r = 0; r < features.rows(); ++r) sum += features(r, c);
-    const double mean = sum / n;
-    double acc = 0.0;
-    for (size_t r = 0; r < features.rows(); ++r) {
-      const double d = features(r, c) - mean;
-      acc += d * d;
-    }
-    means_[c] = mean;
-    stds_[c] = std::sqrt(acc / n);
-  }
-}
-
-void StandardScaler::Transform(Matrix& features) const {
-  TRAJKIT_CHECK(fitted());
-  TRAJKIT_CHECK_EQ(features.cols(), means_.size());
-  for (size_t c = 0; c < features.cols(); ++c) {
-    if (stds_[c] <= 0.0) {
-      for (size_t r = 0; r < features.rows(); ++r) features(r, c) = 0.0;
-    } else {
-      const double inv = 1.0 / stds_[c];
-      for (size_t r = 0; r < features.rows(); ++r) {
-        features(r, c) = (features(r, c) - means_[c]) * inv;
-      }
-    }
-  }
-}
-
-void StandardScaler::FitTransform(Matrix& features) {
   Fit(features);
   Transform(features);
 }

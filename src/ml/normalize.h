@@ -33,23 +33,6 @@ class MinMaxScaler {
   std::vector<double> maxs_;
 };
 
-/// Z-score standardization ((x - mean) / std); provided for the MLP/SVM
-/// ablations. Constant columns map to 0.
-class StandardScaler {
- public:
-  void Fit(const Matrix& features);
-  void Transform(Matrix& features) const;
-  void FitTransform(Matrix& features);
-
-  bool fitted() const { return !means_.empty(); }
-  const std::vector<double>& means() const { return means_; }
-  const std::vector<double>& stds() const { return stds_; }
-
- private:
-  std::vector<double> means_;
-  std::vector<double> stds_;
-};
-
 }  // namespace trajkit::ml
 
 #endif  // TRAJKIT_ML_NORMALIZE_H_

@@ -106,25 +106,6 @@ std::vector<FoldSplit> GroupKFold(std::span<const int> groups, int k,
   return FoldsFromTestSets(groups.size(), std::move(test_sets));
 }
 
-FoldSplit TrainTestSplit(size_t num_samples, double test_fraction, Rng& rng) {
-  TRAJKIT_CHECK_GT(test_fraction, 0.0);
-  TRAJKIT_CHECK_LT(test_fraction, 1.0);
-  std::vector<size_t> order(num_samples);
-  std::iota(order.begin(), order.end(), 0u);
-  rng.Shuffle(order);
-  const size_t test_count = std::max<size_t>(
-      1, static_cast<size_t>(static_cast<double>(num_samples) *
-                             test_fraction));
-  FoldSplit split;
-  split.test_indices.assign(order.begin(),
-                            order.begin() + static_cast<long>(test_count));
-  split.train_indices.assign(order.begin() + static_cast<long>(test_count),
-                             order.end());
-  std::sort(split.test_indices.begin(), split.test_indices.end());
-  std::sort(split.train_indices.begin(), split.train_indices.end());
-  return split;
-}
-
 FoldSplit GroupShuffleSplit(std::span<const int> groups, double test_fraction,
                             Rng& rng) {
   TRAJKIT_CHECK_GT(test_fraction, 0.0);
@@ -175,26 +156,6 @@ std::vector<size_t> TimeOrder(std::span<const double> times) {
 }
 
 }  // namespace
-
-FoldSplit TemporalHoldout(std::span<const double> times,
-                          double test_fraction) {
-  TRAJKIT_CHECK_GT(test_fraction, 0.0);
-  TRAJKIT_CHECK_LT(test_fraction, 1.0);
-  TRAJKIT_CHECK_GE(times.size(), 2u);
-  const std::vector<size_t> order = TimeOrder(times);
-  size_t test_count = static_cast<size_t>(
-      static_cast<double>(times.size()) * test_fraction);
-  test_count = std::max<size_t>(1, std::min(test_count, times.size() - 1));
-  const size_t split_at = times.size() - test_count;
-  FoldSplit split;
-  split.train_indices.assign(order.begin(),
-                             order.begin() + static_cast<long>(split_at));
-  split.test_indices.assign(order.begin() + static_cast<long>(split_at),
-                            order.end());
-  std::sort(split.train_indices.begin(), split.train_indices.end());
-  std::sort(split.test_indices.begin(), split.test_indices.end());
-  return split;
-}
 
 std::vector<FoldSplit> TemporalKFold(std::span<const double> times, int k) {
   TRAJKIT_CHECK_GE(k, 1);

@@ -32,21 +32,11 @@ std::vector<FoldSplit> StratifiedKFold(std::span<const int> labels, int k,
 std::vector<FoldSplit> GroupKFold(std::span<const int> groups, int k,
                                   Rng& rng);
 
-/// Single random train/test split with the given test fraction.
-FoldSplit TrainTestSplit(size_t num_samples, double test_fraction, Rng& rng);
-
 /// Single split with disjoint users: whole groups are assigned to test until
 /// the test set holds approximately `test_fraction` of the samples (the
 /// paper's §4.3 "approximately divided 80% of the data as training").
 FoldSplit GroupShuffleSplit(std::span<const int> groups, double test_fraction,
                             Rng& rng);
-
-/// Temporal holdout: train on the chronologically earliest samples, test
-/// on the latest `test_fraction` — the deployment-faithful "holdout"
-/// strategy the paper's §5 names as future work. Ties in `times` are
-/// broken by index. Precondition: at least 2 samples.
-FoldSplit TemporalHoldout(std::span<const double> times,
-                          double test_fraction);
 
 /// Forward-chaining temporal k-fold (sklearn's TimeSeriesSplit): samples
 /// are sorted by time and cut into k+1 contiguous blocks; fold i trains on

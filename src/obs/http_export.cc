@@ -196,7 +196,7 @@ void HttpExportServer::Respond(int fd, const std::string& path) {
   if (path == "/metrics") {
     WriteResponse(fd, "200 OK",
                   "text/plain; version=0.0.4; charset=utf-8",
-                  options_.registry->ToPrometheusText(options_.prom_prefix));
+                  options_.registry->ToPrometheusText());
     return;
   }
   if (path == "/metrics.json") {

@@ -55,9 +55,6 @@ struct HttpExportOptions {
   int port = 0;
   /// Required: the registry /metrics and /metrics.json export.
   const MetricsRegistry* registry = nullptr;
-  /// Prefix handed to ToPrometheusText — must match the --metrics_prom
-  /// writer for the byte-identity contract.
-  std::string prom_prefix = "trajkit_";
   const TimeSeriesStore* timeseries = nullptr;  ///< /timeseries.json
   const SloEngine* slo = nullptr;               ///< /healthz state
   const RequestTracer* tracer = nullptr;        ///< /tracez

@@ -382,7 +382,7 @@ bool WriteMetricsArtifacts(const MetricsArtifactOptions& options,
   }
   if (!options.metrics_prom.empty() &&
       !WriteTextFile(options.metrics_prom,
-                     registry.ToPrometheusText(options.prom_prefix))) {
+                     registry.ToPrometheusText())) {
     return false;
   }
   if (!options.timeseries_json.empty()) {

@@ -175,7 +175,6 @@ struct MetricsArtifactOptions {
   std::string metrics_json;
   std::string metrics_prom;
   std::string timeseries_json;
-  std::string prom_prefix = "trajkit_";
   const TimeSeriesStore* timeseries = nullptr;
 };
 

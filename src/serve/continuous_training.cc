@@ -15,6 +15,10 @@ namespace trajkit::serve {
 
 namespace {
 
+/// Candidate versions are `kCandidateVersionPrefix + N` with N starting
+/// at 2 ("ct-v2", "ct-v3", ...; v1 is conventionally the bootstrap model).
+constexpr char kCandidateVersionPrefix[] = "ct-v";
+
 obs::Counter& CtCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
@@ -192,7 +196,7 @@ void ContinuousTrainer::LaunchRefit() {
   auto snapshot = std::make_shared<std::vector<LabeledExample>>(
       buffer_.begin(), buffer_.end());
   const std::string version =
-      options_.version_prefix + std::to_string(next_version_++);
+      kCandidateVersionPrefix + std::to_string(next_version_++);
   ml::RandomForestParams params = options_.forest;
   // Distinct but deterministic forests per refit.
   params.seed = options_.forest.seed + stats_.refits_launched;

@@ -11,18 +11,6 @@
 
 namespace trajkit::serve {
 
-const char* DegradationLevelToString(DegradationLevel level) {
-  switch (level) {
-    case DegradationLevel::kNone:
-      return "none";
-    case DegradationLevel::kPreviousModel:
-      return "previous_model";
-    case DegradationLevel::kMajorityClass:
-      return "majority_class";
-  }
-  return "unknown";
-}
-
 Status ServingModel::Validate() const {
   if (version.empty()) {
     return Status::InvalidArgument("serving model needs a non-empty version");
@@ -188,16 +176,6 @@ Result<std::vector<int>> LoadFig3FeatureSubset(const std::string& path,
     subset.push_back(index);
   }
   return subset;
-}
-
-const char* ModelRoleToString(ModelRole role) {
-  switch (role) {
-    case ModelRole::kActive:
-      return "active";
-    case ModelRole::kShadow:
-      return "shadow";
-  }
-  return "unknown";
 }
 
 Status ModelRegistry::Register(ServingModel model) {

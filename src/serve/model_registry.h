@@ -29,8 +29,6 @@ enum class DegradationLevel {
   kMajorityClass = 2,  ///< No usable model; label-prior majority class.
 };
 
-const char* DegradationLevelToString(DegradationLevel level);
-
 /// One prediction answer.
 struct Prediction {
   /// Predicted class index — computed with `RandomForest::Predict`, so it
@@ -118,8 +116,6 @@ enum class ModelRole {
   kShadow = 1,  ///< Scored on the same batches as the active model for
                 ///< promotion decisions; its answers are never served.
 };
-
-const char* ModelRoleToString(ModelRole role);
 
 /// One coherent read of the registry: the (active, last-good, shadow)
 /// triple as of sequence number `seq`. All three pointers were current at

@@ -4,12 +4,16 @@
 #include <queue>
 #include <utility>
 
+#include "common/retry.h"
 #include "common/stopwatch.h"
 #include "obs/request_trace.h"
 #include "serve/continuous_training.h"
 
 namespace trajkit::serve {
 namespace {
+
+/// Seed of the jitter stream that paces a replay's resubmission rounds.
+constexpr uint64_t kRetrySeed = 0x72657472790aULL;
 
 /// A cursor into one trajectory, ordered by its current point's timestamp
 /// (earliest first; ties broken by trajectory index for determinism).
@@ -119,7 +123,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // end of stream — and, with a continuous trainer installed, at every
   // trainer step barrier, so the trainer only ever mutates the registry
   // while nothing is in flight (the determinism contract).
-  Backoff backoff(options.retry, options.retry_seed);
+  Backoff backoff(kRetrySeed);
   const auto drain = [&]() -> Status {
     std::vector<InFlight> round = std::move(in_flight);
     in_flight.clear();

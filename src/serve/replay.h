@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/retry.h"
 #include "core/label_sets.h"
 #include "serve/serving_plane.h"
 #include "serve/session_manager.h"
@@ -28,11 +27,8 @@ struct ReplayOptions {
   int priority = 0;
   /// Resubmissions allowed per request on a transient (Unavailable)
   /// failure. 0 (default) = never resubmit. Resubmission rounds are paced
-  /// by `retry` (jittered exponential backoff, deterministic under
-  /// `retry_seed`).
+  /// by a fixed-seed Backoff (common/retry.h).
   int retry_budget = 0;
-  RetryOptions retry;
-  uint64_t retry_seed = 0x72657472790aULL;
   /// Observer invoked once per closed segment after the replay's gather
   /// phase resolves (close order, off the ingest hot path —
   /// `ingest_seconds` never includes it). `predicted_class` is the label

@@ -79,7 +79,7 @@ BatchPredictorOptions ServeConfig::MakeBatchingOptions() const {
 ServingPlaneOptions ServeConfig::MakePlaneOptions() const {
   ServingPlaneOptions plane;
   plane.shards = shards;
-  plane.session.max_gap_seconds = gap_seconds;
+  plane.session.segmentation.max_gap_seconds = gap_seconds;
   plane.session.max_segment_points = max_window;
   plane.batching = MakeBatchingOptions();
   return plane;

@@ -67,11 +67,11 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
   // lower.
   const size_t min_points =
       std::max<size_t>(2, static_cast<size_t>(
-                              std::max(options_.min_points, 0)));
+                              std::max(options_.segmentation.min_points, 0)));
   if (session->count < min_points) {
     ++stats_.segments_discarded_short;
     metric_discarded_short_.Increment();
-  } else if (options_.drop_unlabeled &&
+  } else if (options_.segmentation.drop_unlabeled &&
              session->mode == traj::Mode::kUnknown) {
     ++stats_.segments_discarded_unlabeled;
     metric_discarded_unlabeled_.Increment();
@@ -142,15 +142,15 @@ void SessionManager::Ingest(int64_t session_id,
     // names the close reason.
     bool boundary = false;
     CloseReason reason = CloseReason::kFlush;
-    if (options_.split_on_mode && point.mode != session.mode) {
+    if (point.mode != session.mode) {
       boundary = true;
       reason = CloseReason::kModeChange;
-    } else if (options_.split_on_day && day != session.day) {
+    } else if (options_.segmentation.split_on_day && day != session.day) {
       boundary = true;
       reason = CloseReason::kDayBoundary;
-    } else if (options_.max_gap_seconds > 0.0 &&
+    } else if (options_.segmentation.max_gap_seconds > 0.0 &&
                point.timestamp - session.last_time >
-                   options_.max_gap_seconds) {
+                   options_.segmentation.max_gap_seconds) {
       boundary = true;
       reason = CloseReason::kTimeGap;
     }

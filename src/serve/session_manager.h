@@ -18,23 +18,13 @@
 namespace trajkit::serve {
 
 /// Configuration of the per-user streaming sessions. The segment-close
-/// rules mirror `traj::SegmentationOptions` field-for-field so that a
-/// replayed stream closes exactly the segments the offline pipeline cuts;
-/// the extra knobs (max-window, idle eviction, session cap) bound memory
-/// for long-running service with millions of sessions.
+/// rules are the offline segmenter's own `traj::SegmentationOptions`, so
+/// that a replayed stream closes exactly the segments the offline pipeline
+/// cuts (a mode change always closes; live traffic carries kUnknown
+/// throughout). The extra knobs (max-window, idle eviction, session cap)
+/// bound memory for long-running service with millions of sessions.
 struct SessionOptions {
-  /// Segments closed with fewer points are discarded (paper §3.2).
-  int min_points = 10;
-  /// Close the open segment when the (UTC) day changes.
-  bool split_on_day = true;
-  /// Close the open segment when the annotated mode changes (replay of
-  /// labelled corpora; live traffic carries kUnknown throughout).
-  bool split_on_mode = true;
-  /// Close when the gap to the previous fix exceeds this many seconds;
-  /// <= 0 disables gap splitting.
-  double max_gap_seconds = 0.0;
-  /// Discard closed segments whose mode is kUnknown.
-  bool drop_unlabeled = true;
+  traj::SegmentationOptions segmentation;
   /// Max-window rule: force-close an open segment once it holds this many
   /// points, bounding the per-session buffers. 0 = unbounded (offline
   /// parity mode).

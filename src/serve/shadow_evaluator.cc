@@ -9,11 +9,6 @@ double ShadowEvaluator::WindowStats::accuracy_delta() const {
          static_cast<double>(labeled);
 }
 
-double ShadowEvaluator::WindowStats::agreement_rate() const {
-  if (scored == 0) return 0.0;
-  return static_cast<double>(agreements) / static_cast<double>(scored);
-}
-
 ShadowEvaluator::ShadowEvaluator()
     : metric_samples_(
           obs::MetricsRegistry::Global().GetCounter("serve.shadow.samples")),

@@ -47,7 +47,6 @@ class ShadowEvaluator {
     /// Shadow accuracy minus active accuracy over the labeled outcomes
     /// (0 when none yet).
     double accuracy_delta() const;
-    double agreement_rate() const;
   };
 
   ShadowEvaluator();

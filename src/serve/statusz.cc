@@ -1,5 +1,6 @@
 #include "serve/statusz.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -7,6 +8,11 @@
 
 namespace trajkit::serve {
 namespace {
+
+/// How many of the most recent tail-kept traces the page lists.
+constexpr size_t kMaxRetainedTraces = 8;
+/// How many trailing ticks a sparkline covers.
+constexpr size_t kSparklineTicks = 32;
 
 /// The family total of a counter or gauge; 0 when it does not exist.
 uint64_t CounterValue(const obs::MetricsRegistry& metrics,
@@ -279,7 +285,7 @@ std::string RenderStatusPage(const obs::MetricsRegistry& metrics,
       // Counters/histograms plot per-tick increments (a cumulative ramp
       // reads as a wedge, not a trend); gauges plot raw values.
       std::vector<double> values =
-          ts.RecentSamples(name, options.sparkline_ticks + 1);
+          ts.RecentSamples(name, kSparklineTicks + 1);
       if (kind != "gauge" && !values.empty()) {
         for (size_t i = values.size() - 1; i > 0; --i) {
           const double step = values[i] - values[i - 1];
@@ -290,11 +296,11 @@ std::string RenderStatusPage(const obs::MetricsRegistry& metrics,
       Appendf(out, "  %-44s %s ", name.c_str(), kind.c_str());
       out += Sparkline(values);
       Appendf(out, " delta=%.6g rate=%.6g",
-              ts.Delta(name, options.sparkline_ticks),
-              ts.Rate(name, options.sparkline_ticks));
+              ts.Delta(name, kSparklineTicks),
+              ts.Rate(name, kSparklineTicks));
       if (kind == "histogram") {
         Appendf(out, " p99=%.3fms",
-                ts.WindowedQuantile(name, 0.99, options.sparkline_ticks) *
+                ts.WindowedQuantile(name, 0.99, kSparklineTicks) *
                     1e3);
       }
       out += "\n";
@@ -338,10 +344,7 @@ std::string RenderStatusPage(const obs::MetricsRegistry& metrics,
   } else if (retained.empty()) {
     out += "retained traces: none (no bad outcomes tail-kept)\n";
   } else {
-    const size_t show =
-        retained.size() < options.max_retained_traces
-            ? retained.size()
-            : options.max_retained_traces;
+    const size_t show = std::min(retained.size(), kMaxRetainedTraces);
     Appendf(out, "retained traces (%zu tail-kept, showing last %zu)\n",
             retained.size(), show);
     for (size_t i = retained.size() - show; i < retained.size(); ++i) {

@@ -22,14 +22,10 @@
 namespace trajkit::serve {
 
 struct StatusPageOptions {
-  /// How many of the most recent tail-kept traces to list.
-  size_t max_retained_traces = 8;
   /// Live telemetry sources: recent history sparklines and the SLO
   /// section render "(no data)" when these are absent.
   const obs::TimeSeriesStore* timeseries = nullptr;
   const obs::SloEngine* slo = nullptr;
-  /// How many trailing ticks a sparkline covers.
-  size_t sparkline_ticks = 32;
 };
 
 /// Unicode block-character sparkline of `values` (empty -> ""). All-equal

@@ -14,7 +14,7 @@ void StreamingFeatureExtractor::Add(const traj::TrajectoryPoint& point) {
   }
 
   double dt = point.timestamp - last_point_.timestamp;
-  if (dt < options_.min_duration_seconds) dt = options_.min_duration_seconds;
+  if (dt < traj::kMinDurationSeconds) dt = traj::kMinDurationSeconds;
   const geo::DistanceBearing step =
       geo::DistanceAndBearing(last_point_.pos, last_trig_, point.pos, trig);
   const double distance = step.distance_m;

@@ -42,17 +42,6 @@ double StdDev(std::span<const double> values) {
   return std::sqrt(Variance(values));
 }
 
-double SampleStdDev(std::span<const double> values) {
-  TRAJKIT_CHECK_GE(values.size(), 2u);
-  const double mu = Mean(values);
-  double acc = 0.0;
-  for (double v : values) {
-    const double d = v - mu;
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
 double Median(std::span<const double> values) {
   return Percentile(values, 50.0);
 }
@@ -197,27 +186,6 @@ Summary SummarizeInto(std::span<const double> values,
   summary.stddev = std::sqrt(acc / static_cast<double>(n));
   OrderStatisticsInto(scratch, ambiguous, ps, out);
   return summary;
-}
-
-Histogram::Histogram(double lo, double hi, size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  TRAJKIT_CHECK_LT(lo, hi);
-  TRAJKIT_CHECK_GT(bins, 0u);
-}
-
-void Histogram::Add(double x) {
-  const double span = hi_ - lo_;
-  double frac = (x - lo_) / span;
-  frac = std::clamp(frac, 0.0, 1.0);
-  size_t bin = static_cast<size_t>(frac * static_cast<double>(counts_.size()));
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  ++counts_[bin];
-  ++total_;
-}
-
-double Histogram::BinLowerEdge(size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
 }
 
 }  // namespace trajkit::stats

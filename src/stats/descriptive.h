@@ -22,9 +22,6 @@ double Variance(std::span<const double> values);
 /// Population standard deviation (ddof = 0). Precondition: non-empty.
 double StdDev(std::span<const double> values);
 
-/// Sample standard deviation (ddof = 1). Precondition: size >= 2.
-double SampleStdDev(std::span<const double> values);
-
 /// Median via the percentile-50 definition. Precondition: non-empty.
 double Median(std::span<const double> values);
 
@@ -73,28 +70,6 @@ struct Summary {
 Summary SummarizeInto(std::span<const double> values,
                       std::span<const double> ps,
                       std::vector<double>& scratch, std::span<double> out);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped to the
-/// edge bins. Used for corpus diagnostics in the synthetic generator.
-class Histogram {
- public:
-  /// Precondition: lo < hi, bins > 0.
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x);
-  size_t bin_count(size_t i) const { return counts_.at(i); }
-  size_t num_bins() const { return counts_.size(); }
-  size_t total() const { return total_; }
-
-  /// Lower edge of bin i.
-  double BinLowerEdge(size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
-};
 
 }  // namespace trajkit::stats
 

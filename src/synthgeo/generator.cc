@@ -11,6 +11,9 @@ namespace trajkit::synthgeo {
 
 namespace {
 
+/// Mean of the Gaussian (sd 1.2) each user-day's trip count is drawn from.
+constexpr double kMeanTripsPerDay = 4.0;
+
 // Beijing: GeoLife's collection city.
 constexpr geo::LatLon kCityCenter{39.9042, 116.4074};
 
@@ -69,7 +72,6 @@ GeoLifeLikeGenerator::GeoLifeLikeGenerator(GeneratorOptions options)
 std::vector<traj::Trajectory> GeoLifeLikeGenerator::Generate() {
   TRAJKIT_CHECK_GT(options_.num_users, 0);
   TRAJKIT_CHECK_GT(options_.days_per_user, 0);
-  TRAJKIT_CHECK_GT(options_.mean_trips_per_day, 0.0);
 
   Rng master(options_.seed);
   summary_ = CorpusSummary{};
@@ -95,14 +97,14 @@ std::vector<traj::Trajectory> GeoLifeLikeGenerator::Generate() {
 
     for (int day = 0; day < options_.days_per_user; ++day) {
       const double day_start =
-          options_.base_time + 86400.0 * static_cast<double>(day);
+          kCorpusBaseTime + 86400.0 * static_cast<double>(day);
       // The diary starts between 06:00 and 10:00.
       double clock = day_start + rng.Uniform(6.0, 10.0) * 3600.0;
       const double day_end = day_start + 23.5 * 3600.0;
 
       const int trips_today = std::max(
           1, static_cast<int>(std::lround(
-                 rng.Gaussian(options_.mean_trips_per_day, 1.2))));
+                 rng.Gaussian(kMeanTripsPerDay, 1.2))));
       geo::LatLon position = user.home;
       traj::Mode previous_mode = traj::Mode::kUnknown;
 

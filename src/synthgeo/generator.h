@@ -12,13 +12,16 @@
 
 namespace trajkit::synthgeo {
 
+/// First day 00:00, seconds since epoch (2008-05-01, inside GeoLife's
+/// collection window).
+inline constexpr double kCorpusBaseTime = 1209600000.0;
+
 /// Knobs of the corpus generator. The defaults produce a GeoLife-scale
 /// study population (69 users); benches shrink days_per_user to trade
 /// corpus size for runtime.
 struct GeneratorOptions {
   int num_users = 69;
   int days_per_user = 8;
-  double mean_trips_per_day = 4.0;
   /// Probability that a trip's annotation boundary is wrong (the human
   /// labelling error §4 discusses): the first 20–120 s of the trip keep
   /// the previous trip's label.
@@ -26,9 +29,6 @@ struct GeneratorOptions {
   /// Disable all GPS error (clean ground-truth fixes).
   bool clean_gps = false;
   uint64_t seed = 7;
-  /// First day 00:00, seconds since epoch (defaults to 2008-05-01, inside
-  /// GeoLife's collection window).
-  double base_time = 1209600000.0;
 };
 
 /// The corpus flags every entry point that generates a corpus shares:

@@ -7,6 +7,17 @@
 #include "geo/geodesy.h"
 
 namespace trajkit::traj {
+namespace {
+
+// Thresholds of the Zheng et al. [29, 30] segment-level features.
+/// A point is a heading change when |Δbearing| exceeds this (degrees).
+constexpr double kHeadingChangeThresholdDeg = 19.0;
+/// A point is "stopped" below this speed (m/s).
+constexpr double kStopSpeedThresholdMps = 0.6;
+/// A velocity change when |Δv|/v exceeds this ratio.
+constexpr double kVelocityChangeRatio = 0.7;
+
+}  // namespace
 
 const std::vector<std::string>& ExtendedFeatureNames() {
   static const std::vector<std::string>* const kNames =
@@ -30,7 +41,7 @@ Result<std::vector<double>> ExtendedFeatureExtractor::Extract(
         "segment must have at least 2 points for extended features");
   }
   const PointFeatures features =
-      ComputePointFeatures(segment.points, options_.point_features);
+      ComputePointFeatures(segment.points, PointFeatureOptions{});
   return ExtractFromPointFeatures(features, segment.points);
 }
 
@@ -51,10 +62,10 @@ std::vector<double> ExtendedFeatureExtractor::ExtractFromPointFeatures(
     path_length += features.distance[i];
     const double heading_delta = geo::BearingDifferenceDeg(
         features.bearing[i - 1], features.bearing[i]);
-    if (std::fabs(heading_delta) > options_.heading_change_threshold_deg) {
+    if (std::fabs(heading_delta) > kHeadingChangeThresholdDeg) {
       ++heading_changes;
     }
-    if (features.speed[i] < options_.stop_speed_threshold_mps) {
+    if (features.speed[i] < kStopSpeedThresholdMps) {
       ++stops;
     } else {
       moving_speed_sum += features.speed[i];
@@ -62,7 +73,7 @@ std::vector<double> ExtendedFeatureExtractor::ExtractFromPointFeatures(
     }
     const double prev_speed = std::max(features.speed[i - 1], 1e-6);
     if (std::fabs(features.speed[i] - features.speed[i - 1]) / prev_speed >
-        options_.velocity_change_ratio) {
+        kVelocityChangeRatio) {
       ++velocity_changes;
     }
   }

@@ -10,17 +10,6 @@
 
 namespace trajkit::traj {
 
-/// Thresholds of the Zheng et al. [29, 30] segment-level features.
-struct ExtendedFeatureOptions {
-  /// A point is a heading change when |Δbearing| exceeds this (degrees).
-  double heading_change_threshold_deg = 19.0;
-  /// A point is "stopped" below this speed (m/s).
-  double stop_speed_threshold_mps = 0.6;
-  /// A velocity change when |Δv|/v exceeds this ratio.
-  double velocity_change_ratio = 0.7;
-  PointFeatureOptions point_features;
-};
-
 /// The eight segment-level features appended by the extended extractor:
 /// the heading-change rate (HCR), stop rate (SR) and velocity-change rate
 /// (VCR) of Zheng et al., plus trip-level summaries (length, duration,
@@ -36,18 +25,12 @@ const std::vector<std::string>& ExtendedFeatureNames();
 /// Returns InvalidArgument when the segment has fewer than 2 points.
 class ExtendedFeatureExtractor {
  public:
-  explicit ExtendedFeatureExtractor(ExtendedFeatureOptions options = {})
-      : options_(options) {}
-
   Result<std::vector<double>> Extract(const Segment& segment) const;
 
   /// From precomputed point features (plus the raw points for geometry).
   std::vector<double> ExtractFromPointFeatures(
       const PointFeatures& features,
       std::span<const TrajectoryPoint> points) const;
-
- private:
-  ExtendedFeatureOptions options_;
 };
 
 }  // namespace trajkit::traj

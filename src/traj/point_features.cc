@@ -30,8 +30,7 @@ PointFeatures ComputePointFeatures(std::span<const TrajectoryPoint> points,
   // see serve/streaming_features.cc).
   for (size_t i = 1; i < n; ++i) {
     const double dt = points[i].timestamp - points[i - 1].timestamp;
-    f.duration[i] =
-        dt < options.min_duration_seconds ? options.min_duration_seconds : dt;
+    f.duration[i] = dt < kMinDurationSeconds ? kMinDurationSeconds : dt;
   }
   // Each fix's latitude sine and cosine serve both pairs it belongs to.
   geo::LatitudeTrig prev_trig = geo::LatitudeTrigOf(points[0].pos);

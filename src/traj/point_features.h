@@ -36,11 +36,13 @@ struct PointFeatures {
   size_t size() const { return speed.size(); }
 };
 
+/// Durations below this floor (duplicate or out-of-order timestamps) are
+/// clamped to it before dividing, so speed/acceleration stay finite. The
+/// batch kernel and the streaming extractor both read it.
+inline constexpr double kMinDurationSeconds = 0.1;
+
 /// Options for the point-feature kernels.
 struct PointFeatureOptions {
-  /// Durations below this floor (duplicate or out-of-order timestamps) are
-  /// clamped to it before dividing, so speed/acceleration stay finite.
-  double min_duration_seconds = 0.1;
   /// When true (default), bearing differences are wrapped to (-180, 180]
   /// before dividing by Δt; when false the raw difference is used, exactly
   /// as in the Brate formula of §3.2.

@@ -28,7 +28,7 @@ std::vector<Segment> SegmentTrajectory(const Trajectory& trajectory,
     const int64_t day = DayIndex(point.timestamp);
     bool boundary = false;
     if (has_current) {
-      if (options.split_on_mode && point.mode != current.mode) boundary = true;
+      if (point.mode != current.mode) boundary = true;
       if (options.split_on_day && day != current.day) boundary = true;
       if (options.max_gap_seconds > 0.0 &&
           point.timestamp - last_timestamp > options.max_gap_seconds) {

@@ -12,10 +12,9 @@ struct SegmentationOptions {
   /// Sub-trajectories with fewer points are discarded ("Sub trajectories
   /// with less than ten trajectory points were discarded", §3.2).
   int min_points = 10;
-  /// Start a new segment when the (UTC) day changes.
+  /// Start a new segment when the (UTC) day changes. A new segment always
+  /// starts when the annotated mode changes.
   bool split_on_day = true;
-  /// Start a new segment when the annotated mode changes.
-  bool split_on_mode = true;
   /// Start a new segment when the gap between consecutive fixes exceeds
   /// this many seconds; <= 0 disables gap splitting. Signal-loss handling.
   double max_gap_seconds = 0.0;

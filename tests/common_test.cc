@@ -162,11 +162,9 @@ TEST(StringsTest, StripWhitespaceStripsWhatIsspaceDoes) {
   }
 }
 
-TEST(StringsTest, StartsEndsWith) {
+TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("trajkit", "traj"));
   EXPECT_FALSE(StartsWith("traj", "trajkit"));
-  EXPECT_TRUE(EndsWith("file.plt", ".plt"));
-  EXPECT_FALSE(EndsWith(".plt", "file.plt"));
 }
 
 TEST(StringsTest, ToLowerAscii) {
@@ -555,7 +553,7 @@ TEST(StopwatchTest, MeasuresNonNegativeMonotonicTime) {
   EXPECT_GE(t1, 0.0);
   EXPECT_GE(t2, t1);
   timer.Reset();
-  EXPECT_GE(timer.ElapsedMillis(), 0.0);
+  EXPECT_GE(timer.ElapsedSeconds(), 0.0);
 }
 
 // ----------------------------------------------------------------- Retry --
@@ -569,87 +567,24 @@ TEST(RetryTest, OnlyTransientCodesAreRetryable) {
 }
 
 TEST(RetryTest, BackoffGrowsClampsAndJittersDeterministically) {
-  RetryOptions options;
-  options.initial_backoff_seconds = 0.001;
-  options.multiplier = 2.0;
-  options.max_backoff_seconds = 0.004;
-  options.jitter = 0.5;
-  Backoff a(options, /*seed=*/99);
-  Backoff b(options, /*seed=*/99);
-  double base = options.initial_backoff_seconds;
-  for (int i = 0; i < 8; ++i) {
+  Backoff a(/*seed=*/99);
+  Backoff b(/*seed=*/99);
+  Backoff other(/*seed=*/100);
+  bool differs = false;
+  double base = kBackoffInitialSeconds;
+  for (int i = 0; i < 10; ++i) {
     const double delay = a.NextDelaySeconds();
-    // Same options + seed => same sequence (chaos runs are reproducible).
+    // Same seed => same sequence (chaos runs are reproducible).
     EXPECT_EQ(delay, b.NextDelaySeconds());
+    differs |= delay != other.NextDelaySeconds();
     // Jitter only shrinks the delay, never past (1 - jitter) * base.
     EXPECT_LE(delay, base);
-    EXPECT_GE(delay, (1.0 - options.jitter) * base);
-    base = std::min(base * options.multiplier, options.max_backoff_seconds);
+    EXPECT_GE(delay, (1.0 - kBackoffJitter) * base);
+    base = std::min(base * kBackoffMultiplier, kBackoffMaxSeconds);
   }
-  EXPECT_EQ(a.attempts(), 8);
-
-  // jitter = 0: the exact exponential sequence, clamped at the max.
-  options.jitter = 0.0;
-  Backoff exact(options, 1);
-  EXPECT_DOUBLE_EQ(exact.NextDelaySeconds(), 0.001);
-  EXPECT_DOUBLE_EQ(exact.NextDelaySeconds(), 0.002);
-  EXPECT_DOUBLE_EQ(exact.NextDelaySeconds(), 0.004);
-  EXPECT_DOUBLE_EQ(exact.NextDelaySeconds(), 0.004);
-  exact.Reset();
-  EXPECT_DOUBLE_EQ(exact.NextDelaySeconds(), 0.001);
-}
-
-TEST(RetryTest, RetriesTransientFailuresThenSucceeds) {
-  RetryOptions options;
-  options.max_attempts = 5;
-  options.jitter = 0.0;
-  int calls = 0;
-  std::vector<double> slept;
-  const auto result = RetryWithBackoff<int>(
-      options, /*seed=*/1,
-      [&]() -> Result<int> {
-        if (++calls < 3) return Status::Unavailable("transient");
-        return 7;
-      },
-      [&](double seconds) { slept.push_back(seconds); });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), 7);
-  EXPECT_EQ(calls, 3);
-  ASSERT_EQ(slept.size(), 2u);
-  EXPECT_DOUBLE_EQ(slept[0], options.initial_backoff_seconds);
-  EXPECT_DOUBLE_EQ(slept[1],
-                   options.initial_backoff_seconds * options.multiplier);
-}
-
-TEST(RetryTest, NonRetryableErrorReturnsImmediately) {
-  RetryOptions options;
-  options.max_attempts = 5;
-  int calls = 0;
-  const auto result = RetryWithBackoff<int>(
-      options, 1,
-      [&]() -> Result<int> {
-        ++calls;
-        return Status::InvalidArgument("deterministic");
-      },
-      [](double) { FAIL() << "must not sleep on a non-retryable error"; });
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(RetryTest, BudgetExhaustionReturnsLastError) {
-  RetryOptions options;
-  options.max_attempts = 3;
-  options.jitter = 0.0;
-  int calls = 0;
-  const auto result = RetryWithBackoff<int>(
-      options, 1,
-      [&]() -> Result<int> {
-        ++calls;
-        return Status::Unavailable("still down");
-      },
-      [](double) {});
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
+  // Ten doublings from 1 ms pass the 50 ms cap.
+  EXPECT_EQ(base, kBackoffMaxSeconds);
+  EXPECT_TRUE(differs);
 }
 
 }  // namespace

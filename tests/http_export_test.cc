@@ -3,14 +3,15 @@
 // to SLO state, /quitquitquit, clean joinable shutdown, and concurrent
 // scrapes racing a metric-writing ingest thread, and idle or slow-drip
 // clients and clients that never read their response, none of which may
-// stall other scrapes or Stop() (run under TSan via the `concurrency`
-// ctest label).
+// stall other scrapes or Stop(), and a seeded mutation fuzz of the request
+// line (run under TSan via the `concurrency` ctest label).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "obs/http_export.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -52,29 +54,44 @@ int Connect(int port) {
   return fd;
 }
 
+/// Sends `request` as is, shuts down the write side (so the server sees
+/// EOF at once instead of waiting out its read deadline) and returns
+/// everything read up to EOF or a reset. Empty when the connection fails.
+/// `*timed_out` (when given) is set if the 10 s read timeout fired.
+std::string Exchange(int port, const std::string& request,
+                     bool* timed_out = nullptr) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
+  size_t sent = 0;
+  while (sent < request.size()) {
+    const ssize_t n = ::send(fd, request.data() + sent,
+                             request.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string raw;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
+        timed_out != nullptr) {
+      *timed_out = true;
+    }
+    if (n <= 0) break;
+    raw.append(buffer, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return raw;
+}
+
 /// Minimal HTTP/1.0 client: one request, read to EOF (the server closes
 /// after every response — that is the protocol).
 HttpReply Fetch(int port, const std::string& path,
                 const std::string& method = "GET") {
   HttpReply reply;
-  const int fd = Connect(port);
-  if (fd < 0) return reply;
-  const std::string request = method + " " + path + " HTTP/1.0\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string raw;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n <= 0) break;
-    raw.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
+  const std::string raw =
+      Exchange(port, method + " " + path + " HTTP/1.0\r\n\r\n");
   // "HTTP/1.0 200 OK\r\nheaders\r\n\r\nbody"
   if (raw.size() > 12) reply.status = std::atoi(raw.c_str() + 9);
   const size_t header_end = raw.find("\r\n\r\n");
@@ -123,11 +140,11 @@ TEST(HttpExportServerTest, MetricsScrapeMatchesFileDumpBytes) {
   EXPECT_EQ(reply.content_type, "text/plain; version=0.0.4; charset=utf-8");
   // The byte-identity contract with --metrics_prom: same registry state,
   // same bytes — and the scrape itself must not have mutated anything.
-  EXPECT_EQ(reply.body, registry.ToPrometheusText("trajkit_"));
+  EXPECT_EQ(reply.body, registry.ToPrometheusText());
   const HttpReply json = Fetch(server.port(), "/metrics.json");
   EXPECT_EQ(json.status, 200);
   EXPECT_EQ(json.body, registry.ToJson());
-  EXPECT_EQ(reply.body, registry.ToPrometheusText("trajkit_"));
+  EXPECT_EQ(reply.body, registry.ToPrometheusText());
   EXPECT_GE(server.requests_served(), 2u);
   server.Stop();
 }
@@ -395,6 +412,68 @@ TEST(HttpExportServerTest, NonReadingClientDoesNotStallScrapesOrStop) {
   EXPECT_FALSE(server.running());
   ::close(stuck);
   ::close(stuck_again);
+}
+
+/// One seeded mutation of a request line: a byte flip, a truncation,
+/// inserted spaces, '?', CR or LF, a dropped method, or an oversized run
+/// past the server's 8 KiB read cap.
+void Mutate(Rng& rng, std::string& request) {
+  const size_t at = static_cast<size_t>(rng.NextBounded(request.size() + 1));
+  switch (rng.NextBounded(7)) {
+    case 0:
+      if (!request.empty()) {
+        request[at % request.size()] ^=
+            static_cast<char>(1 + rng.NextBounded(255));
+      }
+      break;
+    case 1:
+      request.resize(at);
+      break;
+    case 2:
+      request.insert(at, 1 + rng.NextBounded(3), ' ');
+      break;
+    case 3:
+      request.insert(at, 1, '?');
+      break;
+    case 4:
+      request.insert(at, 1, rng.NextBounded(2) == 0 ? '\r' : '\n');
+      break;
+    case 5:
+      if (request.rfind("GET", 0) == 0) request.erase(0, 3);
+      break;
+    default:
+      request.insert(at, 8192 + rng.NextBounded(8192), 'A');
+      break;
+  }
+}
+
+TEST(HttpExportServerTest, MutatedRequestLinesGetAStatusOrACleanClose) {
+  MetricsRegistry registry;
+  registry.GetCounter("serve.requests").Increment(7);
+  registry.GetHistogram("serve.latency").Observe(0.02);
+  HttpExportOptions options;
+  options.registry = &registry;
+  HttpExportServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(options, &error)) << error;
+  Rng rng(20261019);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    const uint64_t mutations = 1 + rng.NextBounded(3);
+    for (uint64_t m = 0; m < mutations; ++m) Mutate(rng, request);
+    bool timed_out = false;
+    const std::string raw = Exchange(server.port(), request, &timed_out);
+    EXPECT_FALSE(timed_out) << "trial " << trial << " hung";
+    if (raw.empty()) continue;  // Closed without a response.
+    const std::string status_line = raw.substr(0, raw.find("\r\n"));
+    EXPECT_TRUE(status_line == "HTTP/1.0 200 OK" ||
+                status_line == "HTTP/1.0 404 Not Found" ||
+                status_line == "HTTP/1.0 405 Method Not Allowed")
+        << "trial " << trial << ": '" << status_line << "'";
+  }
+  EXPECT_EQ(Fetch(server.port(), "/metrics").body,
+            registry.ToPrometheusText());
+  server.Stop();
 }
 
 }  // namespace

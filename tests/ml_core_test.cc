@@ -159,27 +159,6 @@ TEST(MinMaxScalerTest, PreservesOrderRelationship) {
   EXPECT_GT(m.At(2, 0), m.At(1, 0));
 }
 
-TEST(StandardScalerTest, ZeroMeanUnitVariance) {
-  Matrix m = Matrix::FromRows({{1.0}, {2.0}, {3.0}, {4.0}});
-  StandardScaler scaler;
-  scaler.FitTransform(m);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (size_t r = 0; r < 4; ++r) {
-    sum += m.At(r, 0);
-    sum_sq += m.At(r, 0) * m.At(r, 0);
-  }
-  EXPECT_NEAR(sum / 4.0, 0.0, 1e-12);
-  EXPECT_NEAR(sum_sq / 4.0, 1.0, 1e-12);
-}
-
-TEST(StandardScalerTest, ConstantColumnMapsToZero) {
-  Matrix m = Matrix::FromRows({{5.0}, {5.0}});
-  StandardScaler scaler;
-  scaler.FitTransform(m);
-  EXPECT_DOUBLE_EQ(m.At(0, 0), 0.0);
-}
-
 // --------------------------------------------------------------- Metrics --
 
 TEST(MetricsTest, AccuracyBasic) {

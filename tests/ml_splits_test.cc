@@ -153,26 +153,6 @@ TEST(GroupKFoldTest, BalancesFoldSizes) {
   EXPECT_LE(std::max(size0, size1), 100u);
 }
 
-TEST(TrainTestSplitTest, FractionRespected) {
-  Rng rng(17);
-  const FoldSplit split = TrainTestSplit(100, 0.2, rng);
-  EXPECT_EQ(split.test_indices.size(), 20u);
-  EXPECT_EQ(split.train_indices.size(), 80u);
-  // Train and test are disjoint and together cover [0, 100).
-  std::set<size_t> all(split.train_indices.begin(),
-                       split.train_indices.end());
-  for (size_t i : split.test_indices) {
-    EXPECT_TRUE(all.insert(i).second) << "index in both sides: " << i;
-  }
-  EXPECT_EQ(all.size(), 100u);
-}
-
-TEST(TrainTestSplitTest, AtLeastOneTestSample) {
-  Rng rng(19);
-  const FoldSplit split = TrainTestSplit(3, 0.01, rng);
-  EXPECT_GE(split.test_indices.size(), 1u);
-}
-
 TEST(GroupShuffleSplitTest, DisjointUsersAndApproximateFraction) {
   std::vector<int> groups;
   Rng data_rng(23);

@@ -489,7 +489,7 @@ TEST(WriteMetricsArtifactsTest, WritesAllRequestedArtifacts) {
   ASSERT_TRUE(WriteMetricsArtifacts(options, registry));
   EXPECT_EQ(ReadFileOrDie(options.metrics_json), registry.ToJson());
   EXPECT_EQ(ReadFileOrDie(options.metrics_prom),
-            registry.ToPrometheusText("trajkit_"));
+            registry.ToPrometheusText());
   EXPECT_EQ(ReadFileOrDie(options.timeseries_json), store.ToJson());
   std::remove(options.metrics_json.c_str());
   std::remove(options.metrics_prom.c_str());

@@ -185,8 +185,8 @@ TEST_P(PipelinePropertyTest, EmittedFeaturesAreFiniteAndAligned) {
   }
   // Times are within the generated corpus window.
   for (double t : ds.times()) {
-    EXPECT_GE(t, options.base_time);
-    EXPECT_LE(t, options.base_time + 86400.0 * options.days_per_user);
+    EXPECT_GE(t, synthgeo::kCorpusBaseTime);
+    EXPECT_LE(t, synthgeo::kCorpusBaseTime + 86400.0 * options.days_per_user);
   }
 }
 

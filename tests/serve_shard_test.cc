@@ -216,7 +216,7 @@ TEST(ShardCloseOrderTest, FlushAllClosesInGloballyAscendingSessionIdOrder) {
   ModelRegistry registry;
   ServingPlaneOptions options;
   options.shards = 4;
-  options.session.min_points = 2;
+  options.session.segmentation.min_points = 2;
   ServingPlane plane(&registry, options);
 
   std::vector<ClosedSegment> closed;
@@ -242,7 +242,7 @@ TEST(ShardCloseOrderTest, EvictIdleMergesAscendingAcrossShards) {
   ModelRegistry registry;
   ServingPlaneOptions options;
   options.shards = 4;
-  options.session.min_points = 2;
+  options.session.segmentation.min_points = 2;
   options.session.idle_after_seconds = 60.0;
   ServingPlane plane(&registry, options);
 
@@ -269,7 +269,7 @@ TEST(ShardSessionTest, LruSessionCapIsEnforcedPerShard) {
   ModelRegistry registry;
   ServingPlaneOptions options;
   options.shards = 4;
-  options.session.min_points = 2;
+  options.session.segmentation.min_points = 2;
   options.session.max_sessions = 2;  // Per shard: plane-wide ceiling 8.
   ServingPlane plane(&registry, options);
 
@@ -429,7 +429,7 @@ TEST(ShardConcurrencyTest, ParallelIngestAcrossShardsMatchesSerial) {
   ModelRegistry registry;
   ServingPlaneOptions options;
   options.shards = kShards;
-  options.session.min_points = 2;
+  options.session.segmentation.min_points = 2;
 
   std::vector<std::vector<traj::TrajectoryPoint>> streams;
   for (int64_t user = 0; user < kUsers; ++user) {

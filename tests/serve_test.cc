@@ -291,13 +291,11 @@ traj::Trajectory AdversarialTrajectory(uint64_t seed) {
 
 void ExpectSessionMatchesOffline(const traj::Trajectory& trajectory,
                                  double max_gap_seconds) {
-  traj::SegmentationOptions offline_options;
-  offline_options.max_gap_seconds = max_gap_seconds;
-  const std::vector<traj::Segment> offline =
-      traj::SegmentTrajectory(trajectory, offline_options);
-
   SessionOptions session_options;
-  session_options.max_gap_seconds = max_gap_seconds;
+  session_options.segmentation.max_gap_seconds = max_gap_seconds;
+  const std::vector<traj::Segment> offline =
+      traj::SegmentTrajectory(trajectory, session_options.segmentation);
+
   session_options.keep_points = true;
   session_options.idle_after_seconds = 0.0;  // Parity mode: no eviction.
   SessionManager sessions(session_options);
@@ -354,7 +352,7 @@ TEST(SessionManagerTest, CorpusParityVsOffline) {
 
 TEST(SessionManagerTest, OutOfOrderFixesDroppedAcrossSegmentBoundary) {
   SessionOptions options;
-  options.min_points = 2;
+  options.segmentation.min_points = 2;
   SessionManager sessions(options);
   std::vector<ClosedSegment> closed;
   Rng rng(11);
@@ -384,7 +382,7 @@ TEST(SessionManagerTest, OutOfOrderFixesDroppedAcrossSegmentBoundary) {
 
 TEST(SessionManagerTest, MaxWindowClosesOpenSegment) {
   SessionOptions options;
-  options.min_points = 2;
+  options.segmentation.min_points = 2;
   options.max_segment_points = 10;
   SessionManager sessions(options);
   std::vector<ClosedSegment> closed;
@@ -403,7 +401,7 @@ TEST(SessionManagerTest, MaxWindowClosesOpenSegment) {
 
 TEST(SessionManagerTest, IdleSessionsEvicted) {
   SessionOptions options;
-  options.min_points = 2;
+  options.segmentation.min_points = 2;
   options.idle_after_seconds = 600.0;
   SessionManager sessions(options);
   std::vector<ClosedSegment> closed;
@@ -432,7 +430,7 @@ TEST(SessionManagerTest, IdleSessionsEvicted) {
 
 TEST(SessionManagerTest, SessionCapEvictsLeastRecentlyUpdated) {
   SessionOptions options;
-  options.min_points = 2;
+  options.segmentation.min_points = 2;
   options.max_sessions = 2;
   SessionManager sessions(options);
   std::vector<ClosedSegment> closed;
@@ -1092,8 +1090,6 @@ TEST(ReplayTest, ChaosReplayAccountsEveryRequest) {
   ReplayOptions options;
   options.deadline_seconds = 0.25;
   options.retry_budget = 2;
-  options.retry.initial_backoff_seconds = 0.0005;
-  options.retry.max_backoff_seconds = 0.002;
   const auto report =
       ReplayCorpus(fixture.corpus, fixture.labels, plane, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();

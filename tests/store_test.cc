@@ -294,7 +294,7 @@ TEST(ParseModeMaskTest, ParsesListsAndRejectsJunk) {
 
 TEST(TrajectoryStoreTest, SessionSinkIngestsClosedSegmentsWithBbox) {
   serve::SessionOptions session_options;
-  session_options.min_points = 2;
+  session_options.segmentation.min_points = 2;
   serve::SessionManager sessions(session_options);
   TrajectoryStore store;
   sessions.set_closed_sink(store.MakeSessionSink());

@@ -1,5 +1,5 @@
 // Tests for the temporal evaluation machinery: Dataset timestamps,
-// TemporalHoldout / TemporalKFold, the core scheme plumbing, and time
+// TemporalKFold, the core scheme plumbing, and time
 // round-tripping through the dataset CSV format.
 
 #include <gtest/gtest.h>
@@ -51,41 +51,6 @@ TEST(DatasetTimesTest, SetAndPropagateThroughSelection) {
 TEST(DatasetTimesTest, LengthMismatchRejected) {
   Dataset ds = TimedDataset(5, 2);
   EXPECT_FALSE(ds.SetTimes({1.0, 2.0}).ok());
-}
-
-// ------------------------------------------------------ TemporalHoldout --
-
-TEST(TemporalHoldoutTest, TrainPrecedesTest) {
-  const Dataset ds = TimedDataset(50, 3);
-  const FoldSplit split = TemporalHoldout(ds.times(), 0.2);
-  EXPECT_EQ(split.test_indices.size(), 10u);
-  EXPECT_EQ(split.train_indices.size(), 40u);
-  double max_train = -1e300;
-  double min_test = 1e300;
-  for (size_t i : split.train_indices) {
-    max_train = std::max(max_train, ds.times()[i]);
-  }
-  for (size_t i : split.test_indices) {
-    min_test = std::min(min_test, ds.times()[i]);
-  }
-  EXPECT_LE(max_train, min_test);
-}
-
-TEST(TemporalHoldoutTest, UnsortedInputHandled) {
-  // Times in shuffled order: the split is still chronological.
-  std::vector<double> times = {50.0, 10.0, 40.0, 20.0, 30.0};
-  const FoldSplit split = TemporalHoldout(times, 0.4);
-  // Latest 2 samples (times 40, 50) are indices 2 and 0.
-  const std::set<size_t> test(split.test_indices.begin(),
-                              split.test_indices.end());
-  EXPECT_EQ(test, (std::set<size_t>{0u, 2u}));
-}
-
-TEST(TemporalHoldoutTest, AtLeastOneSampleEachSide) {
-  const std::vector<double> times = {1.0, 2.0};
-  const FoldSplit tiny = TemporalHoldout(times, 0.01);
-  EXPECT_EQ(tiny.test_indices.size(), 1u);
-  EXPECT_EQ(tiny.train_indices.size(), 1u);
 }
 
 // -------------------------------------------------------- TemporalKFold --

@@ -768,8 +768,7 @@ int RunServeReplay(const Flags& flags, const HarnessOptions& harness) {
     return 0;
   }
   core::PipelineOptions pipeline_options;
-  pipeline_options.segmentation.max_gap_seconds =
-      plane_options.session.max_gap_seconds;
+  pipeline_options.segmentation = plane_options.session.segmentation;
   const core::Pipeline pipeline(pipeline_options);
   auto dataset = pipeline.BuildDataset(corpus, labels.value());
   if (!dataset.ok()) return Fail(dataset.status(), "offline pipeline");
