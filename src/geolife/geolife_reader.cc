@@ -5,8 +5,10 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <utility>
 
 #include "common/csv.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "geo/geodesy.h"
 
@@ -318,7 +320,7 @@ Result<std::vector<traj::Trajectory>> LoadGeoLifeCorpus(
     if (entry.is_directory(ec)) user_dirs.push_back(entry.path());
   }
   std::sort(user_dirs.begin(), user_dirs.end());
-  std::vector<traj::Trajectory> corpus;
+  std::vector<std::pair<fs::path, int>> users;
   for (const fs::path& dir : user_dirs) {
     const Result<long long> uid = ParseInt64(dir.filename().string());
     // Not a numbered user directory, or a number no user id can hold.
@@ -326,10 +328,20 @@ Result<std::vector<traj::Trajectory>> LoadGeoLifeCorpus(
         uid.value() > std::numeric_limits<int>::max()) {
       continue;
     }
-    TRAJKIT_ASSIGN_OR_RETURN(
-        traj::Trajectory trajectory,
-        LoadGeoLifeUser(dir.string(), static_cast<int>(uid.value())));
-    corpus.push_back(std::move(trajectory));
+    users.emplace_back(dir, static_cast<int>(uid.value()));
+  }
+  // One user per task; results land in sorted-directory order, so the
+  // corpus — and the first error in that order — is the serial one.
+  TRAJKIT_ASSIGN_OR_RETURN(
+      std::vector<Result<traj::Trajectory>> loaded,
+      ParallelMap<Result<traj::Trajectory>>(users.size(), 1, [&](size_t i) {
+        return LoadGeoLifeUser(users[i].first.string(), users[i].second);
+      }));
+  std::vector<traj::Trajectory> corpus;
+  corpus.reserve(loaded.size());
+  for (Result<traj::Trajectory>& trajectory : loaded) {
+    TRAJKIT_RETURN_IF_ERROR(trajectory.status());
+    corpus.push_back(std::move(trajectory).value());
   }
   if (corpus.empty()) {
     return Status::NotFound("no user directories under: " + data_root);

@@ -151,28 +151,36 @@ void HttpExportServer::AcceptLoop() {
 }
 
 void HttpExportServer::HandleConnection(int fd) {
-  // Read until the end of headers (or 8 KiB — request lines we serve are
-  // tiny). One request per connection, HTTP/1.0 style. Each read and each
-  // write waits on the client and the wake pipe together, bounded by the
-  // connection's deadline: a client that has not sent its request line or
-  // taken its response by then is closed, and Stop() never waits on a
-  // client.
+  // Read until the end of the request line (or 8 KiB — request lines we
+  // serve are tiny). One request per connection, HTTP/1.0 style. Each read
+  // and each write waits on the client and the wake pipe together, bounded
+  // by the connection's deadline: a client that has not sent its request
+  // line or taken its response by then is closed, and Stop() never waits
+  // on a client.
   deadline_ = std::chrono::steady_clock::now() + kConnectionDeadline;
   std::string request;
   char buffer[1024];
-  while (request.size() < 8192 &&
-         request.find("\r\n\r\n") == std::string::npos &&
-         request.find('\n') == std::string::npos) {
+  while (request.size() < 8192 && request.find('\n') == std::string::npos) {
     if (!WaitFor(fd, POLLIN)) return;
     const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return;
+    if (n == 0) break;
     request.append(buffer, static_cast<size_t>(n));
   }
   const size_t line_end = request.find('\n');
-  if (line_end == std::string::npos) return;
+  if (line_end == std::string::npos) {
+    // EOF or 8 KiB before any LF: there is no request line to serve.
+    WriteResponse(fd, "400 Bad Request", "text/plain",
+                  "unreadable request line\n");
+    // Discard what the client still sends (until its EOF or the deadline):
+    // closing with unread input would reset the connection, and the reset
+    // can reach the client before it reads the 400.
+    ::shutdown(fd, SHUT_WR);
+    while (WaitFor(fd, POLLIN) && ::read(fd, buffer, sizeof(buffer)) > 0) {
+    }
+    return;
+  }
   // "GET <path> HTTP/1.x"
   const std::string line = request.substr(0, line_end);
   const size_t sp1 = line.find(' ');

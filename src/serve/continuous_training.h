@@ -11,12 +11,12 @@
 // degradation-rung rate — forces an early refit.
 //
 // Determinism contract: the driver API (ObserveSegment / OnResult /
-// StepDue / Step / Finish) is single-threaded — the replay ingest thread
-// calls it — and every registry mutation happens inside Step()/Finish(),
-// which the replay driver only invokes at barriers where all in-flight
-// requests have been gathered. The refit launched at one barrier is
-// *blocked on* (never polled) at the next, so which model answers which
-// request is a pure function of the corpus: `serve-replay
+// StepDue / Step / Finish) is single-threaded — the replay driver calls
+// it from its commit step — and every registry mutation happens inside
+// Step()/Finish(), which the replay driver only invokes at barriers where
+// all in-flight requests have been gathered. The refit launched at one
+// barrier is *blocked on* (never polled) at the next, so which model
+// answers which request is a pure function of the corpus: `serve-replay
 // --continuous_training` is byte-identical at any thread/shard count.
 // Only the background fit itself overlaps serving.
 

@@ -1,9 +1,21 @@
 #include "serve/replay.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
+#include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <cstdint>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <queue>
+#include <thread>
 #include <utility>
 
+#include "common/parallel.h"
 #include "common/retry.h"
 #include "common/stopwatch.h"
 #include "obs/request_trace.h"
@@ -14,6 +26,11 @@ namespace {
 
 /// Seed of the jitter stream that paces a replay's resubmission rounds.
 constexpr uint64_t kRetrySeed = 0x72657472790aULL;
+
+/// Merged points per chunk the driver hands the ingest workers, and how
+/// many chunks the workers may run ahead of the commit step.
+constexpr size_t kChunkPoints = 4096;
+constexpr size_t kChunksAhead = 4;
 
 /// A cursor into one trajectory, ordered by its current point's timestamp
 /// (earliest first; ties broken by trajectory index for determinism).
@@ -30,6 +47,218 @@ struct CursorLater {
   }
 };
 
+/// Where a shard step commits among the steps of one merged point: its
+/// ingest first, then the idle eviction that follows it.
+enum class Phase : uint8_t { kIngest, kEvict };
+
+/// One instruction for an ingest worker: ingest `point` for `user`, or
+/// (evict) close the idle sessions of the worker's shards as of
+/// `point->timestamp`. `seq` is the merged point's index.
+struct Op {
+  uint64_t seq;
+  const traj::TrajectoryPoint* point;
+  int64_t user;
+  bool evict;
+};
+
+/// A shard step with an effect beyond counting its point, tagged with its
+/// place in the canonical commit order.
+struct Record {
+  uint64_t seq;
+  Phase phase;
+  ShardStep step;
+};
+
+/// Consecutive merged points, split by the worker that owns their shard.
+struct Chunk {
+  uint64_t first_seq = 0;
+  /// Shard of each point, in merge order (the commit counts points by it).
+  std::vector<uint32_t> shard_of;
+  std::vector<std::vector<Op>> ops;          // Per worker, in seq order.
+  std::vector<std::vector<Record>> records;  // Per worker, in seq order.
+  size_t pending = 0;  // Workers yet to run it; guarded by IngestWorkers::mu_.
+};
+
+/// The shard step of one worker's slice of a chunk. Worker `w` of `n` owns
+/// the shards s with s % n == w and touches no other shard's state.
+void RunOps(ServingPlane& plane, size_t worker, size_t workers,
+            const std::vector<Op>& ops, std::vector<Record>* records) {
+  ShardStep step;
+  for (const Op& op : ops) {
+    if (!op.evict) {
+      if (plane.IngestStep(op.user, *op.point, &step)) {
+        step.delta.points_ingested = 0;  // The commit counts points.
+        records->push_back({op.seq, Phase::kIngest, std::move(step)});
+      }
+      continue;
+    }
+    for (size_t s = worker; s < plane.num_shards(); s += workers) {
+      if (plane.EvictStep(s, op.point->timestamp, &step)) {
+        records->push_back({op.seq, Phase::kEvict, std::move(step)});
+      }
+    }
+  }
+}
+
+/// Returns free heap pages to the system. The ingest workers allocate the
+/// shards' session buffers from their own malloc arenas, which cannot
+/// reuse what the driver's arena holds free, nor the driver theirs; a trim
+/// before the replay and after its final flush keeps the two from
+/// stacking up (without it, peak RSS over repeated GeoLife-scale replays
+/// read 10-20% above the serial loop's).
+void ReleaseFreeMemory() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
+/// Ingest threads kept for the life of the process and lent to one replay
+/// at a time. A thread keeps its malloc arena for life, so each replay's
+/// session buffers land in the arenas the last replay's used; threads
+/// started per replay took over other threads' arenas instead, and ran
+/// slower and larger.
+class IngestThreads {
+ public:
+  static IngestThreads& Global() {
+    static IngestThreads* threads = new IngestThreads();  // Leaked, like
+    return *threads;  // the shared pool: idle threads outlive main().
+  }
+
+  /// Runs body(w) for every w in [0, n) on threads of the team. Blocks
+  /// while another replay holds the team.
+  void Start(size_t n, std::function<void(size_t)> body) {
+    use_.lock();
+    std::lock_guard<std::mutex> lock(mu_);
+    while (threads_.size() < n) {
+      threads_.emplace_back(
+          [this, w = threads_.size(), seen = generation_] { Loop(w, seen); });
+    }
+    body_ = std::move(body);
+    active_ = n;
+    running_ = n;
+    ++generation_;
+    start_cv_.notify_all();
+  }
+
+  /// Waits until every body started by Start has returned.
+  void Join() {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_cv_.wait(lock, [this] { return running_ == 0; });
+      body_ = nullptr;
+    }
+    use_.unlock();
+  }
+
+ private:
+  void Loop(size_t worker, uint64_t seen) {
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        start_cv_.wait(lock, [&] { return generation_ != seen; });
+        seen = generation_;
+        if (worker >= active_) continue;
+      }
+      body_(worker);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--running_ == 0) done_cv_.notify_all();
+    }
+  }
+
+  std::mutex use_;  // Held from Start to Join.
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  std::vector<std::thread> threads_;
+  std::function<void(size_t)> body_;  // Guarded by mu_ between runs.
+  size_t active_ = 0;
+  size_t running_ = 0;
+  uint64_t generation_ = 0;
+};
+
+/// The ingest workers and the ring of chunks they share with the driver.
+/// With one worker no thread is started: Dispatch runs the chunk inline.
+class IngestWorkers {
+ public:
+  IngestWorkers(ServingPlane& plane, size_t workers)
+      : plane_(plane), workers_(workers) {
+    for (Chunk& chunk : ring_) {
+      chunk.ops.resize(workers);
+      chunk.records.resize(workers);
+    }
+    if (workers == 1) return;
+    IngestThreads::Global().Start(workers, [this](size_t w) { Loop(w); });
+  }
+
+  ~IngestWorkers() {
+    if (workers_ == 1) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    IngestThreads::Global().Join();
+  }
+
+  IngestWorkers(const IngestWorkers&) = delete;
+  IngestWorkers& operator=(const IngestWorkers&) = delete;
+
+  size_t size() const { return workers_; }
+
+  /// The ring slot of chunk `index`; the driver fills it, then Dispatches.
+  Chunk& Slot(size_t index) { return ring_[index % kChunksAhead]; }
+
+  /// Hands chunk `index` to the workers. Precondition: chunk
+  /// index - kChunksAhead has been awaited.
+  void Dispatch(size_t index) {
+    Chunk& chunk = Slot(index);
+    if (workers_ == 1) {
+      RunOps(plane_, 0, 1, chunk.ops[0], &chunk.records[0]);
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      chunk.pending = workers_;
+      dispatched_ = index + 1;
+    }
+    work_cv_.notify_all();
+  }
+
+  /// Blocks until every worker has run chunk `index`.
+  Chunk& Await(size_t index) {
+    Chunk& chunk = Slot(index);
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&chunk] { return chunk.pending == 0; });
+    return chunk;
+  }
+
+ private:
+  void Loop(size_t worker) {
+    for (size_t next = 0;; ++next) {
+      Chunk* chunk = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        work_cv_.wait(lock, [&] { return stop_ || next < dispatched_; });
+        if (stop_) return;
+        chunk = &Slot(next);
+      }
+      RunOps(plane_, worker, workers_, chunk->ops[worker],
+             &chunk->records[worker]);
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--chunk->pending == 0) done_cv_.notify_one();
+    }
+  }
+
+  ServingPlane& plane_;
+  const size_t workers_;
+  std::array<Chunk, kChunksAhead> ring_;
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  size_t dispatched_ = 0;  // Guarded by mu_.
+  bool stop_ = false;      // Guarded by mu_.
+};
+
 }  // namespace
 
 Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
@@ -38,12 +267,15 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
                                   const ReplayOptions& options) {
   ReplayReport report;
 
-  // K-way merge: pop the cursor with the earliest current point, advance
-  // it. A user's own fixes are never reordered — out-of-order fixes inside
-  // a trajectory reach the session in file order and are dropped there,
-  // exactly like the offline cleaner.
+  // K-way merge on the driver: pop the cursor with the earliest current
+  // point, advance it. A user's own fixes are never reordered —
+  // out-of-order fixes inside a trajectory reach the session in file order
+  // and are dropped there, exactly like the offline cleaner.
   std::priority_queue<Cursor, std::vector<Cursor>, CursorLater> merge;
+  std::vector<uint32_t> shard_of_trajectory(corpus.size());
   for (size_t t = 0; t < corpus.size(); ++t) {
+    shard_of_trajectory[t] =
+        static_cast<uint32_t>(plane.ShardOf(corpus[t].user_id));
     if (!corpus[t].points.empty()) {
       merge.push(Cursor{corpus[t].points[0].timestamp, t, 0});
     }
@@ -203,43 +435,125 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
           ? options.tick_every_segments
           : 0;
 
-  Stopwatch ingest_timer;
-  while (!merge.empty()) {
-    Cursor cursor = merge.top();
-    merge.pop();
-    const traj::Trajectory& trajectory = corpus[cursor.trajectory];
-    const traj::TrajectoryPoint& point = trajectory.points[cursor.point];
-    plane.Ingest(trajectory.user_id, point, &closed);
-    ++report.points;
-    if (options.evict_every_points > 0 &&
-        report.points % options.evict_every_points == 0) {
-      plane.EvictIdle(point.timestamp, &closed);
-    }
-    if (!closed.empty()) submit_closed();
-    // Trainer step barrier: the step count is a pure function of the
-    // corpus (labeled segments observed), and the registry only mutates
-    // after every already-submitted request has resolved — which model
-    // answers which request cannot depend on thread/shard timing.
+  // Barriers after every merged point's commit. Trainer step barrier: the
+  // step count is a pure function of the corpus (labeled segments
+  // observed), and the registry only mutates after every
+  // already-submitted request has resolved — which model answers which
+  // request cannot depend on thread/shard timing. Telemetry tick barrier:
+  // the tick position is a pure function of the corpus (segments closed
+  // so far), and the store only samples after every in-flight request has
+  // resolved. A burst of closes can make several ticks due at once; each
+  // fires, so the tick count never depends on batching.
+  const auto barriers = [&]() -> Status {
     if (options.trainer != nullptr && options.trainer->StepDue()) {
       TRAJKIT_RETURN_IF_ERROR(drain());
       TRAJKIT_RETURN_IF_ERROR(options.trainer->Step());
     }
-    // Telemetry tick barrier: like the trainer step, the tick position is
-    // a pure function of the corpus (segments closed so far), and the
-    // store only samples after every in-flight request has resolved. A
-    // burst of closes can make several ticks due at once; each fires, so
-    // the tick count never depends on batching.
     while (next_tick > 0 && report.segments_closed >= next_tick) {
       TRAJKIT_RETURN_IF_ERROR(drain());
       options.tick();
       next_tick += options.tick_every_segments;
     }
-    if (cursor.point + 1 < trajectory.points.size()) {
-      merge.push(Cursor{trajectory.points[cursor.point + 1].timestamp,
-                        cursor.trajectory, cursor.point + 1});
+    return Status::Ok();
+  };
+
+  // Fills a chunk from the merge: each point goes to the worker owning its
+  // shard, and an eviction (every evict_every_points points, against the
+  // event time of the point just merged) to every worker.
+  IngestWorkers workers(
+      plane, std::min(plane.num_shards(), static_cast<size_t>(MaxThreads())));
+  uint64_t seq = 0;
+  const auto fill = [&](Chunk& chunk) {
+    chunk.first_seq = seq;
+    chunk.shard_of.clear();
+    for (std::vector<Op>& ops : chunk.ops) ops.clear();
+    while (!merge.empty() && chunk.shard_of.size() < kChunkPoints) {
+      const Cursor cursor = merge.top();
+      merge.pop();
+      const traj::Trajectory& trajectory = corpus[cursor.trajectory];
+      const traj::TrajectoryPoint& point = trajectory.points[cursor.point];
+      const uint32_t shard = shard_of_trajectory[cursor.trajectory];
+      chunk.ops[shard % workers.size()].push_back(
+          {seq, &point, trajectory.user_id, false});
+      chunk.shard_of.push_back(shard);
+      ++seq;
+      if (options.evict_every_points > 0 &&
+          seq % options.evict_every_points == 0) {
+        for (std::vector<Op>& ops : chunk.ops) {
+          ops.push_back({seq - 1, &point, 0, true});
+        }
+      }
+      if (cursor.point + 1 < trajectory.points.size()) {
+        merge.push(Cursor{trajectory.points[cursor.point + 1].timestamp,
+                          cursor.trajectory, cursor.point + 1});
+      }
     }
+  };
+
+  // The commit step: the workers' records merged in (seq, phase) order —
+  // the plane's Commit orders one phase's closes by session id — each
+  // published, submitted, and followed by its point's barriers. Points
+  // whose step had no other effect are counted by routing, so every
+  // serve.sessions.* series holds its serial value at each barrier.
+  std::vector<size_t> uncounted(plane.num_shards(), 0);
+  std::vector<ShardStep> group;
+  const auto commit = [&](Chunk& chunk) -> Status {
+    uint64_t counted = chunk.first_seq;
+    const auto count_points_through = [&](uint64_t end) {
+      for (; counted < end; ++counted) {
+        ++uncounted[chunk.shard_of[counted - chunk.first_seq]];
+      }
+      for (size_t s = 0; s < uncounted.size(); ++s) {
+        if (uncounted[s] > 0) plane.CommitPoints(s, uncounted[s]);
+        uncounted[s] = 0;
+      }
+    };
+    std::vector<size_t> head(workers.size(), 0);
+    for (;;) {
+      uint64_t next = UINT64_MAX;
+      for (size_t w = 0; w < workers.size(); ++w) {
+        if (head[w] < chunk.records[w].size()) {
+          next = std::min(next, chunk.records[w][head[w]].seq);
+        }
+      }
+      if (next == UINT64_MAX) break;
+      count_points_through(next + 1);
+      for (const Phase phase : {Phase::kIngest, Phase::kEvict}) {
+        group.clear();
+        for (size_t w = 0; w < workers.size(); ++w) {
+          std::vector<Record>& records = chunk.records[w];
+          for (; head[w] < records.size() && records[head[w]].seq == next &&
+                 records[head[w]].phase == phase;
+               ++head[w]) {
+            group.push_back(std::move(records[head[w]].step));
+          }
+        }
+        if (!group.empty()) plane.Commit(group, &closed);
+      }
+      submit_closed();
+      TRAJKIT_RETURN_IF_ERROR(barriers());
+    }
+    count_points_through(chunk.first_seq + chunk.shard_of.size());
+    for (std::vector<Record>& records : chunk.records) records.clear();
+    return Status::Ok();
+  };
+
+  if (workers.size() > 1) ReleaseFreeMemory();
+  Stopwatch ingest_timer;
+  size_t dispatched = 0;
+  size_t committed = 0;
+  while (!merge.empty() || committed < dispatched) {
+    if (!merge.empty() && dispatched - committed < kChunksAhead) {
+      fill(workers.Slot(dispatched));
+      workers.Dispatch(dispatched++);
+      continue;
+    }
+    TRAJKIT_RETURN_IF_ERROR(commit(workers.Await(committed++)));
   }
+  report.points = seq;
+  // Every chunk has been awaited: the driver is the only writer left.
   plane.FlushAll(&closed);
+  if (workers.size() > 1) ReleaseFreeMemory();
   submit_closed();
   report.ingest_seconds = ingest_timer.ElapsedSeconds();
 

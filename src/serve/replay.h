@@ -86,7 +86,8 @@ struct ReplayReport {
   /// True class / predicted class per evaluated segment, in close order.
   std::vector<int> y_true;
   std::vector<int> y_pred;
-  /// Wall time spent in the ingest loop (excludes waiting on futures).
+  /// Wall time of merge, ingest and commit, up to the final flush
+  /// (excludes the final gather).
   double ingest_seconds = 0.0;
   /// Final session-layer counters, summed across the plane's shards.
   SessionManagerStats session_stats;
@@ -100,15 +101,22 @@ struct ReplayReport {
 };
 
 /// Replays a labelled corpus through the online stack in global timestamp
-/// order: a k-way merge over the trajectories feeds points one at a time
-/// into `plane` (session id = user id, routed to the user's shard), every
-/// closed in-label-set segment is submitted to the shard's predictor, and
+/// order: a k-way merge over the trajectories feeds points into `plane`
+/// (session id = user id, routed to the user's shard), every closed
+/// in-label-set segment is submitted to the shard's predictor, and
 /// predictions are scored against the annotated modes. Per-trajectory
 /// order is preserved exactly (the merge never reorders a user's own
 /// fixes), so the session layer sees the same streams the offline
-/// segmenter reads — and because the plane interleaves evict/flush closes
-/// in globally ascending session-id order, the report (and every output
-/// derived from it) is byte-identical at any shard count.
+/// segmenter reads.
+///
+/// Shard steps run on min(plane.num_shards(), MaxThreads()) ingest
+/// workers, inline on the calling thread when that is one; the calling
+/// thread merges, and commits every step in (point, phase, session id)
+/// order — the order the serial plane API produces — running the trainer
+/// and tick barriers after each point's commit (see ServingPlane). So the
+/// report, the sinks, the tick-sampled series and the trace ids are
+/// byte-identical at any shard and thread count. One replay at a time
+/// uses the workers; a concurrent call waits for them.
 ///
 /// Every submitted request is accounted for exactly once in the report:
 /// evaluated (possibly degraded), shed, or deadline-exceeded. Transient

@@ -6,6 +6,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -20,9 +21,8 @@ namespace trajkit::serve {
 struct ServingPlaneOptions {
   /// Number of independent shards; clamped to >= 1.
   size_t shards = 1;
-  /// Per-shard session-layer configuration. `session.shard` is overwritten
-  /// with the shard index; `session.max_sessions` is a PER-SHARD cap (the
-  /// plane-wide ceiling is shards * max_sessions).
+  /// Per-shard session-layer configuration. `session.max_sessions` is a
+  /// PER-SHARD cap (the plane-wide ceiling is shards * max_sessions).
   SessionOptions session;
   /// Per-shard micro-batching / admission-control configuration.
   /// `batching.shard` is overwritten with the shard index;
@@ -30,6 +30,17 @@ struct ServingPlaneOptions {
   /// `batching.fault_injector` is shared by every shard (its fault draws
   /// are mutex-guarded).
   BatchPredictorOptions batching;
+};
+
+/// What one shard step changed that is visible outside its shard: the
+/// session counters it added to, the shard's open-session count after it,
+/// and the segments it closed (in close order; ascending session id for an
+/// eviction). A shard step produces it; ServingPlane::Commit publishes it.
+struct ShardStep {
+  size_t shard = 0;
+  SessionManagerStats delta;
+  size_t open_sessions = 0;
+  std::vector<ClosedSegment> closed;
 };
 
 /// N independent serving shards — shard-per-core scaling of the ingest
@@ -40,27 +51,44 @@ struct ServingPlaneOptions {
 /// ModelRegistry: every shard snapshots the same registry per batch, so a
 /// hot swap stays atomic across shards.
 ///
-/// Determinism contract (the CI shard-determinism matrix pins it): driven
-/// from one thread, replay output is byte-identical at any shard count.
-/// Three properties carry the argument:
+/// Every session-layer call is split in two:
+///  - a *shard step* (IngestStep, EvictStep) advances one shard's
+///    SessionManager and returns a ShardStep. It touches nothing outside
+///    that shard, so steps of different shards may run on different
+///    threads, and ahead of what the rest of the process has seen;
+///  - the *commit* (Commit, CommitPoints) makes a step visible: it
+///    publishes the serve.sessions.* series of the step's shard, mints
+///    each closed segment's trace id, and calls the closed sink. One
+///    thread commits, in one canonical order.
+/// Ingest/EvictIdle/FlushAll are a step (of every shard, for the latter
+/// two) followed at once by its commit — the serial API. ReplayCorpus
+/// runs the steps on ingest workers and commits on its driver thread in
+/// (point sequence, phase, session id) order, the order the serial API
+/// produces.
+///
+/// Determinism contract (the CI shard-determinism matrix pins it): replay
+/// output is byte-identical at any shard and thread count. Three
+/// properties carry the argument:
 ///  - Routing is a pure function of user_id, so a user's stream always
 ///    lands on one shard in arrival order; per-session segmentation state
 ///    never crosses shards and close decisions are shard-count-invariant.
-///  - EvictIdle/FlushAll interleave closes across shards in globally
-///    ascending session-id order via SessionManager::CloseSession — the
-///    exact order one unsharded manager produces, which keeps trace-id
-///    mint order, sink order, and submit order identical.
+///  - A commit of several shards' steps (EvictIdle/FlushAll) merges their
+///    closes into globally ascending session-id order — the exact order
+///    one unsharded manager produces, which keeps trace-id mint order,
+///    sink order, and submit order identical.
 ///  - A prediction is bit-identical whatever micro-batch (and therefore
 ///    shard queue) it lands in, per the BatchPredictor contract.
 ///
-/// Thread safety matches the components: each shard is single-writer for
-/// Ingest/EvictIdle/FlushAll (different shards may ingest from different
-/// threads concurrently — that is the point), while Submit is safe from
-/// any thread.
+/// Thread safety: each shard is single-writer for its steps (and so for
+/// Ingest/EvictIdle/FlushAll); commits come from one thread at a time;
+/// Submit is safe from any thread.
 class ServingPlane {
  public:
   /// `registry` must outlive the plane.
   ServingPlane(const ModelRegistry* registry, ServingPlaneOptions options);
+  /// Zeroes the shards' active-session series, so a later plane with
+  /// fewer shards does not count this one's sessions.
+  ~ServingPlane();
 
   ServingPlane(const ServingPlane&) = delete;
   ServingPlane& operator=(const ServingPlane&) = delete;
@@ -72,17 +100,40 @@ class ServingPlane {
   /// user always land on the same shard.
   size_t ShardOf(int64_t user_id) const;
 
-  /// Ingests one fix for `user_id` on its shard (session id = user id).
+  /// Ingests one fix for `user_id` on its shard (session id = user id) and
+  /// commits it.
   void Ingest(int64_t user_id, const traj::TrajectoryPoint& point,
               std::vector<ClosedSegment>* closed);
 
-  /// Closes idle sessions across all shards, interleaved in globally
-  /// ascending session-id order (see the determinism contract above).
+  /// Closes idle sessions across all shards and commits them, interleaved
+  /// in globally ascending session-id order.
   void EvictIdle(double now, std::vector<ClosedSegment>* closed);
 
   /// Closes every open segment across all shards in globally ascending
-  /// session-id order and drops all sessions.
+  /// session-id order, drops all sessions, and commits.
   void FlushAll(std::vector<ClosedSegment>* closed);
+
+  /// Shard step: ingests one fix on `user_id`'s shard, overwriting `*step`.
+  /// Returns false when the step's only effect is one more
+  /// points_ingested — nothing a commit would publish besides the count.
+  bool IngestStep(int64_t user_id, const traj::TrajectoryPoint& point,
+                  ShardStep* step);
+
+  /// Shard step: closes `shard`'s sessions idle at `now` (ascending session
+  /// id), overwriting `*step`. Returns false when nothing changed.
+  bool EvictStep(size_t shard, double now, ShardStep* step);
+
+  /// Commit: publishes `steps` — each of a different shard, all at one
+  /// position of the canonical order — and appends their closed segments
+  /// to `closed` in ascending session-id order (a single step keeps its
+  /// own close order), each with its trace id minted and passed to the
+  /// closed sink.
+  void Commit(std::span<ShardStep> steps, std::vector<ClosedSegment>* closed);
+
+  /// Commit of `points` fixes ingested on `shard` whose steps had no other
+  /// effect: publishes serve.sessions.points_ingested. Steps committed
+  /// this way must carry delta.points_ingested == 0.
+  void CommitPoints(size_t shard, size_t points);
 
   /// Submits one request to `user_id`'s shard.
   std::future<Result<Prediction>> Submit(int64_t user_id,
@@ -91,15 +142,14 @@ class ServingPlane {
   /// Drains every shard's pending queue on the calling thread.
   void FlushPredictors();
 
-  /// Installs the closed-segment observer on every shard (segments still
-  /// arrive in each shard's close order; drive the plane from one thread
-  /// for a globally deterministic sink order).
-  void set_closed_sink(std::function<void(const ClosedSegment&)> sink);
-
-  SessionManager& sessions(size_t shard) { return shards_[shard]->sessions; }
-  BatchPredictor& predictor(size_t shard) {
-    return shards_[shard]->predictor;
+  /// Installs the observer Commit calls for every closed segment, on the
+  /// committing thread and in commit order.
+  void set_closed_sink(std::function<void(const ClosedSegment&)> sink) {
+    closed_sink_ = std::move(sink);
   }
+
+  SessionManager& sessions(size_t shard);
+  BatchPredictor& predictor(size_t shard);
 
   /// Open sessions across all shards.
   size_t num_open_sessions() const;
@@ -111,17 +161,24 @@ class ServingPlane {
   BatchPredictor::Counters predictor_counters() const;
 
  private:
-  struct Shard {
-    Shard(const ModelRegistry* registry, const SessionOptions& session,
-          const BatchPredictorOptions& batching)
-        : sessions(session), predictor(registry, batching) {}
-    SessionManager sessions;
-    BatchPredictor predictor;
-  };
+  struct Shard;
+
+  /// Runs `call(&step->closed)` on shard `shard`'s session manager as one
+  /// shard step, overwriting `*step`.
+  template <typename Call>
+  void Step(size_t shard, ShardStep* step, Call call);
+
+  /// Closes every open segment of `shard`, overwriting `*step`.
+  void FlushStep(size_t shard, ShardStep* step);
+
+  /// Mints the trace id of each segment in closed[first..] and passes it
+  /// to the closed sink, in order.
+  void Announce(std::vector<ClosedSegment>* closed, size_t first);
 
   /// unique_ptr: shards are immovable (mutexes, threads) and the vector
   /// is sized once in the constructor.
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::function<void(const ClosedSegment&)> closed_sink_;
 };
 
 }  // namespace trajkit::serve

@@ -1,11 +1,9 @@
 #include "serve/session_manager.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
-#include "obs/request_trace.h"
 
 namespace trajkit::serve {
 
@@ -29,35 +27,31 @@ std::string_view CloseReasonToString(CloseReason reason) {
   return "unknown";
 }
 
-SessionManager::SessionManager(SessionOptions options)
-    : options_(options),
-      metric_points_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_ingested", options_.shard)),
-      metric_out_of_order_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.points_dropped_out_of_order", options_.shard)),
-      metric_emitted_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_emitted", options_.shard)),
-      metric_discarded_short_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_discarded_short", options_.shard)),
-      metric_discarded_unlabeled_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.segments_discarded_unlabeled", options_.shard)),
-      metric_evicted_idle_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.evicted_idle", options_.shard)),
-      metric_evicted_cap_(obs::MetricsRegistry::Global().GetCounter(
-          "serve.sessions.evicted_cap", options_.shard)),
-      metric_active_(obs::MetricsRegistry::Global().GetGauge(
-          "serve.sessions.active", options_.shard)) {
-  for (size_t r = 0; r < metric_closed_by_reason_.size(); ++r) {
-    metric_closed_by_reason_[r] = &obs::MetricsRegistry::Global().GetCounter(
-        "serve.sessions.closed." +
-            std::string(CloseReasonToString(static_cast<CloseReason>(r))),
-        options_.shard);
-  }
+SessionManagerStats& SessionManagerStats::operator+=(
+    const SessionManagerStats& other) {
+  points_ingested += other.points_ingested;
+  points_dropped_out_of_order += other.points_dropped_out_of_order;
+  segments_emitted += other.segments_emitted;
+  segments_discarded_short += other.segments_discarded_short;
+  segments_discarded_unlabeled += other.segments_discarded_unlabeled;
+  sessions_evicted_idle += other.sessions_evicted_idle;
+  sessions_evicted_cap += other.sessions_evicted_cap;
+  return *this;
 }
 
-SessionManager::~SessionManager() {
-  if (options_.shard >= 0) metric_active_.Set(0.0);
+SessionManagerStats& SessionManagerStats::operator-=(
+    const SessionManagerStats& other) {
+  points_ingested -= other.points_ingested;
+  points_dropped_out_of_order -= other.points_dropped_out_of_order;
+  segments_emitted -= other.segments_emitted;
+  segments_discarded_short -= other.segments_discarded_short;
+  segments_discarded_unlabeled -= other.segments_discarded_unlabeled;
+  sessions_evicted_idle -= other.sessions_evicted_idle;
+  sessions_evicted_cap -= other.sessions_evicted_cap;
+  return *this;
 }
+
+SessionManager::SessionManager(SessionOptions options) : options_(options) {}
 
 void SessionManager::CloseSegment(int64_t session_id, Session* session,
                                   CloseReason reason,
@@ -70,11 +64,9 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
                               std::max(options_.segmentation.min_points, 0)));
   if (session->count < min_points) {
     ++stats_.segments_discarded_short;
-    metric_discarded_short_.Increment();
   } else if (options_.segmentation.drop_unlabeled &&
              session->mode == traj::Mode::kUnknown) {
     ++stats_.segments_discarded_unlabeled;
-    metric_discarded_unlabeled_.Increment();
   } else {
     Result<std::vector<double>> features = session->extractor.Flush();
     TRAJKIT_CHECK(features.ok()) << features.status().ToString();
@@ -90,22 +82,8 @@ void SessionManager::CloseSegment(int64_t session_id, Session* session,
     segment.bbox = session->bbox;
     segment.features = std::move(features).value();
     if (options_.keep_points) segment.points = session->points;
-    // Mint the request trace here: segments are closed on the (single)
-    // ingest thread in deterministic order, so trace ids — and with them
-    // the head-sampling decision — are reproducible at any worker-thread
-    // count.
-    obs::RequestTracer& tracer = obs::RequestTracer::Global();
-    if (tracer.enabled()) {
-      segment.trace_id = tracer.Mint();
-      tracer.RecordInstant(segment.trace_id, "segment_close",
-                           obs::TracePhase::kSession, tracer.NowNs(),
-                           static_cast<uint64_t>(reason));
-    }
     closed->push_back(std::move(segment));
     ++stats_.segments_emitted;
-    metric_emitted_.Increment();
-    metric_closed_by_reason_[static_cast<size_t>(reason)]->Increment();
-    if (closed_sink_) closed_sink_(closed->back());
   }
   session->extractor.Reset();
   session->points.clear();
@@ -117,7 +95,6 @@ void SessionManager::Ingest(int64_t session_id,
                             const traj::TrajectoryPoint& point,
                             std::vector<ClosedSegment>* closed) {
   ++stats_.points_ingested;
-  metric_points_.Increment();
   auto [it, inserted] = sessions_.try_emplace(session_id);
   Session& session = it->second;
   if (inserted) {
@@ -132,7 +109,6 @@ void SessionManager::Ingest(int64_t session_id,
   // kept fix of this session is dropped (even across a segment boundary).
   if (session.has_last && point.timestamp < session.last_time) {
     ++stats_.points_dropped_out_of_order;
-    metric_out_of_order_.Increment();
     return;
   }
 
@@ -181,41 +157,29 @@ void SessionManager::Ingest(int64_t session_id,
   if (options_.max_sessions > 0 && sessions_.size() > options_.max_sessions) {
     CloseSession(lru_.back(), CloseReason::kSessionCap, closed);
   }
-  metric_active_.Set(static_cast<double>(sessions_.size()));
 }
 
 void SessionManager::EvictIdle(double now,
                                std::vector<ClosedSegment>* closed) {
-  for (int64_t session_id : IdleSessionIds(now)) {
+  if (options_.idle_after_seconds <= 0.0) return;
+  std::vector<int64_t> idle;
+  for (const auto& [session_id, session] : sessions_) {
+    if (session.has_last &&
+        now - session.last_time > options_.idle_after_seconds) {
+      idle.push_back(session_id);
+    }
+  }
+  for (int64_t session_id : idle) {
     CloseSession(session_id, CloseReason::kIdle, closed);
   }
 }
 
 void SessionManager::FlushAll(std::vector<ClosedSegment>* closed) {
-  for (int64_t session_id : OpenSessionIds()) {
-    CloseSession(session_id, CloseReason::kFlush, closed);
+  for (auto& [session_id, session] : sessions_) {
+    CloseSegment(session_id, &session, CloseReason::kFlush, closed);
   }
-}
-
-std::vector<int64_t> SessionManager::OpenSessionIds() const {
-  std::vector<int64_t> ids;
-  ids.reserve(sessions_.size());
-  for (const auto& [session_id, session] : sessions_) {
-    ids.push_back(session_id);
-  }
-  return ids;
-}
-
-std::vector<int64_t> SessionManager::IdleSessionIds(double now) const {
-  std::vector<int64_t> ids;
-  if (options_.idle_after_seconds <= 0.0) return ids;
-  for (const auto& [session_id, session] : sessions_) {
-    if (session.has_last &&
-        now - session.last_time > options_.idle_after_seconds) {
-      ids.push_back(session_id);
-    }
-  }
-  return ids;
+  sessions_.clear();
+  lru_.clear();
 }
 
 void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
@@ -227,12 +191,9 @@ void SessionManager::CloseSession(int64_t session_id, CloseReason reason,
   sessions_.erase(it);
   if (reason == CloseReason::kIdle) {
     ++stats_.sessions_evicted_idle;
-    metric_evicted_idle_.Increment();
   } else if (reason == CloseReason::kSessionCap) {
     ++stats_.sessions_evicted_cap;
-    metric_evicted_cap_.Increment();
   }
-  metric_active_.Set(static_cast<double>(sessions_.size()));
 }
 
 }  // namespace trajkit::serve

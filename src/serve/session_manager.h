@@ -1,16 +1,13 @@
 #ifndef TRAJKIT_SERVE_SESSION_MANAGER_H_
 #define TRAJKIT_SERVE_SESSION_MANAGER_H_
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <string_view>
 #include <vector>
 
 #include "geo/geodesy.h"
-#include "obs/metrics.h"
 #include "serve/streaming_features.h"
 #include "traj/segmentation.h"
 #include "traj/types.h"
@@ -38,11 +35,6 @@ struct SessionOptions {
   /// Retain the raw points of emitted segments (tests / debugging; off in
   /// production to keep closed segments small).
   bool keep_points = false;
-  /// Shard index when this manager is one shard of a ServingPlane; >= 0
-  /// writes every serve.sessions.* counter and gauge as that shard's
-  /// series (`{shard="i"}`) so statusz and the CI shard-determinism matrix
-  /// can attribute load per shard. -1 (default) = the unlabeled series.
-  int shard = -1;
   /// Forwarded to the streaming feature extractor.
   traj::PointFeatureOptions point_features;
 };
@@ -72,9 +64,10 @@ struct ClosedSegment {
   double end_time = 0.0;
   size_t num_points = 0;
   CloseReason reason = CloseReason::kFlush;
-  /// Request trace id minted at close time when tracing is enabled
-  /// (obs/request_trace.h); 0 otherwise. Replay propagates it into the
-  /// PredictRequest so segment close and prediction share one trace.
+  /// Request trace id minted when the ServingPlane commits the segment and
+  /// tracing is enabled (obs/request_trace.h); 0 otherwise. Replay
+  /// propagates it into the PredictRequest so segment close and prediction
+  /// share one trace.
   uint64_t trace_id = 0;
   /// Minimum bounding rectangle of the segment's kept fixes, tracked
   /// incrementally at ingest (store/trajectory_store.h indexes it).
@@ -85,7 +78,8 @@ struct ClosedSegment {
   std::vector<traj::TrajectoryPoint> points;
 };
 
-/// Counters of one SessionManager's lifetime.
+/// Counters of one SessionManager's lifetime — or, as a ShardStep's delta
+/// (serve/serving_plane.h), what one call added to them.
 struct SessionManagerStats {
   size_t points_ingested = 0;
   size_t points_dropped_out_of_order = 0;
@@ -94,21 +88,28 @@ struct SessionManagerStats {
   size_t segments_discarded_unlabeled = 0;
   size_t sessions_evicted_idle = 0;
   size_t sessions_evicted_cap = 0;
+
+  bool operator==(const SessionManagerStats&) const = default;
+  SessionManagerStats& operator+=(const SessionManagerStats& other);
+  SessionManagerStats& operator-=(const SessionManagerStats& other);
 };
 
 /// Per-user streaming sessions: points are ingested one at a time, open
 /// segments are closed incrementally by the offline segmentation rules
 /// (mode change / day boundary / time gap) plus the serving-only max-window
 /// rule, and memory stays bounded via the idle-eviction policy and the
-/// LRU session cap. Single-writer: callers serialize Ingest/Evict/Flush
-/// (shard across SessionManagers to scale writers; prediction is where the
-/// shared thread pool parallelism lives).
+/// LRU session cap.
+///
+/// A pure state machine: its only outputs are the closed segments it
+/// appends and its own stats(). It writes no metric, mints no trace id and
+/// calls no observer — the ServingPlane's commit step publishes all of
+/// that, in a canonical order, from the stats delta of each call. So a
+/// manager may run ahead of what the rest of the process has seen.
+/// Single-writer: callers serialize Ingest/EvictIdle/FlushAll (shard
+/// across SessionManagers to scale writers).
 class SessionManager {
  public:
   explicit SessionManager(SessionOptions options = {});
-  /// A shard manager zeroes its active-session series on the way out, so
-  /// a later plane with fewer shards does not count this one's sessions.
-  ~SessionManager();
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
@@ -129,30 +130,6 @@ class SessionManager {
   /// Closes every open segment (ascending session id) and drops all
   /// sessions — end-of-stream / shutdown.
   void FlushAll(std::vector<ClosedSegment>* closed);
-
-  /// Ascending ids of all open sessions.
-  std::vector<int64_t> OpenSessionIds() const;
-
-  /// Ascending ids of sessions idle longer than `idle_after_seconds` at
-  /// `now`. Empty when idle eviction is disabled.
-  std::vector<int64_t> IdleSessionIds(double now) const;
-
-  /// Closes `session_id`'s open segment as `reason` and erases the session
-  /// (with eviction bookkeeping for kIdle / kSessionCap). No-op for
-  /// unknown ids. EvictIdle/FlushAll are built on this; a ServingPlane
-  /// calls it directly to interleave closes across shards in globally
-  /// ascending session-id order — the exact one-manager close order, which
-  /// is what keeps replay output byte-identical at any shard count.
-  void CloseSession(int64_t session_id, CloseReason reason,
-                    std::vector<ClosedSegment>* closed);
-
-  /// Installs an observer invoked (synchronously, after the segment is
-  /// appended to `closed`) for every emitted segment — the hook the
-  /// trajectory store ingests through. Replaces any previous sink; pass
-  /// an empty function to detach.
-  void set_closed_sink(std::function<void(const ClosedSegment&)> sink) {
-    closed_sink_ = std::move(sink);
-  }
 
   size_t num_open_sessions() const { return sessions_.size(); }
   const SessionManagerStats& stats() const { return stats_; }
@@ -177,23 +154,13 @@ class SessionManager {
   void CloseSegment(int64_t session_id, Session* session, CloseReason reason,
                     std::vector<ClosedSegment>* closed);
 
+  /// Closes `session_id`'s open segment as `reason` and erases the session
+  /// (with eviction bookkeeping for kIdle / kSessionCap).
+  void CloseSession(int64_t session_id, CloseReason reason,
+                    std::vector<ClosedSegment>* closed);
+
   SessionOptions options_;
   SessionManagerStats stats_;
-  std::function<void(const ClosedSegment&)> closed_sink_;
-  /// Process-wide mirrors of stats_ (serve.sessions.* counters, the
-  /// serve.sessions.active gauge, and one serve.sessions.closed.<reason>
-  /// counter per CloseReason): this manager's series of each, resolved
-  /// once at construction. stats_ stays per-instance; a metric's family
-  /// total sums all managers.
-  obs::Counter& metric_points_;
-  obs::Counter& metric_out_of_order_;
-  obs::Counter& metric_emitted_;
-  obs::Counter& metric_discarded_short_;
-  obs::Counter& metric_discarded_unlabeled_;
-  obs::Counter& metric_evicted_idle_;
-  obs::Counter& metric_evicted_cap_;
-  obs::Gauge& metric_active_;
-  std::array<obs::Counter*, 7> metric_closed_by_reason_;
   /// Ordered map: deterministic iteration for eviction and flush.
   std::map<int64_t, Session> sessions_;
   /// Recency list, most recently updated first.

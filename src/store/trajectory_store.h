@@ -150,7 +150,7 @@ class TrajectoryStore {
   /// the spatial index is rebuilt lazily on the next query.
   void Ingest(StoredSegment segment);
 
-  /// Convenience: a sink for SessionManager::set_closed_sink feeding this
+  /// Convenience: a sink for ServingPlane::set_closed_sink feeding this
   /// store directly from the session layer (predicted mode = annotated
   /// mode — no predictor in that pipeline).
   std::function<void(const serve::ClosedSegment&)> MakeSessionSink();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "geolife/geolife_reader.h"
@@ -808,6 +809,46 @@ TEST_F(GeoLifeDifferentialTest, CorpusLoadsLikeTheReference) {
     EXPECT_TRUE(SamePoints((*got)[u].points, (*want)[u].points))
         << "user " << u;
   }
+}
+
+// The corpus loader parses one user per task on the shared pool: the
+// corpus, and the first failure in sorted-directory order, must be the
+// same at any thread count.
+TEST_F(GeoLifeDifferentialTest, CorpusLoadIsThreadCountInvariant) {
+  const int prior_threads = MaxThreads();
+  SetMaxThreads(1);
+  const auto serial = LoadGeoLifeCorpus(root_.string());
+  SetMaxThreads(4);
+  const auto parallel = LoadGeoLifeCorpus(root_.string());
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_EQ(serial->size(), 3u);
+  ASSERT_EQ(parallel->size(), serial->size());
+  for (size_t u = 0; u < serial->size(); ++u) {
+    EXPECT_EQ((*parallel)[u].user_id, (*serial)[u].user_id);
+    EXPECT_TRUE(SamePoints((*parallel)[u].points, (*serial)[u].points))
+        << "user " << u;
+  }
+
+  // The middle user's labels.txt loses its header's field count (a
+  // ParseError); the last user has no Trajectory directory (NotFound).
+  // Either thread count reports the middle user's error, the first in
+  // sorted order.
+  ASSERT_TRUE(WriteStringToFile((root_ / "001" / "labels.txt").string(),
+                                "Start Time\tEnd Time\tTransportation Mode\n"
+                                "2008/10/23 02:53:04\twalk\n")
+                  .ok());
+  std::filesystem::remove_all(root_ / "002" / "Trajectory");
+  std::vector<Status> statuses;
+  for (const int threads : {1, 4}) {
+    SetMaxThreads(threads);
+    statuses.push_back(LoadGeoLifeCorpus(root_.string()).status());
+  }
+  SetMaxThreads(prior_threads);
+  EXPECT_EQ(statuses[0].code(), StatusCode::kParseError)
+      << statuses[0].ToString();
+  EXPECT_EQ(statuses[1].code(), statuses[0].code());
+  EXPECT_EQ(statuses[1].ToString(), statuses[0].ToString());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the sharded serving plane (src/serve/serving_plane.h): routing
 // stability, byte-identical replay output across shard counts, per-shard
 // LRU caps, the globally ascending cross-shard close order, shard-labeled
-// metric series, and the two races CI reruns under TSan — parallel
-// ingest across shards and model hot swaps under sharded predict.
+// metric series, the races CI reruns under TSan — parallel ingest across
+// shards and model hot swaps under sharded predict — and ReplayCorpus's
+// concurrent ingest against its serial path.
 
 #include <gtest/gtest.h>
 
@@ -14,16 +15,21 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/label_sets.h"
 #include "core/pipeline.h"
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
+#include "obs/slo.h"
+#include "obs/timeseries.h"
 #include "serve/batch_predictor.h"
+#include "serve/continuous_training.h"
 #include "serve/model_registry.h"
 #include "serve/replay.h"
 #include "serve/serving_plane.h"
@@ -545,6 +551,219 @@ TEST(ShardConcurrencyTest, HotSwapUnderShardedPredictStaysConsistent) {
   }
   for (std::thread& reader : readers) reader.join();
   writer.join();
+}
+
+// ----------------------------------------------- Concurrent replay ingest --
+
+/// Everything one replay makes visible, minus wall times.
+struct ReplayRun {
+  ReplayReport report;
+  /// (session, start, reason, points, trace id, sampled) per closed
+  /// segment, in the plane's closed-sink order.
+  std::vector<std::tuple<int64_t, double, int, size_t, uint64_t, bool>> sink;
+  /// (user, start, predicted class) in ReplayOptions::closed_sink order.
+  std::vector<std::tuple<int, double, int>> scored;
+  /// One line per tick: the tracked series, counters rebased to the run's
+  /// start (earlier runs in this binary fed the same process-wide
+  /// families).
+  std::vector<std::string> series;
+  std::vector<std::string> slo_log;
+  ContinuousTrainer::Stats training;
+};
+
+constexpr size_t kEvictEveryPoints = 97;
+constexpr size_t kMaxSessionsPerShard = 1;
+
+ServingPlaneOptions ConcurrencyPlaneOptions(size_t shards) {
+  ServingPlaneOptions options;
+  options.shards = shards;
+  options.session.max_sessions = kMaxSessionsPerShard;
+  options.batching.max_batch_size = 16;
+  options.batching.max_delay_seconds = 0.001;
+  return options;
+}
+
+ReplayRun RunConcurrentReplay(size_t shards, int threads) {
+  const ShardFixture& fixture = ShardFixture::Get();
+  const int prior_threads = MaxThreads();
+  SetMaxThreads(threads);
+  obs::RequestTracerOptions tracing;
+  tracing.enabled = true;
+  tracing.sample_every = 3;
+  obs::RequestTracer::Global().Configure(tracing);
+
+  ModelRegistry registry;
+  TRAJKIT_CHECK(registry.Publish(fixture.model).ok());
+  ContinuousTrainingOptions ct;
+  ct.step_every = 8;
+  ct.refit_every = 16;
+  ct.min_fit_samples = 16;
+  ct.forest.n_estimators = 10;
+  ct.promotion.min_samples = 8;
+  ct.promotion.min_accuracy_delta = -1.0;
+  ContinuousTrainer trainer(&registry, fixture.labels, ct);
+
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const std::vector<std::string> counters = {
+      "serve.sessions.points_ingested", "serve.sessions.segments_emitted",
+      "serve.sessions.evicted_idle", "serve.sessions.evicted_cap",
+      "serve.batch_predictor.requests"};
+  std::map<std::string, uint64_t> baseline;
+  for (const std::string& name : counters) {
+    const obs::CounterFamily* family = metrics.FindCounter(name);
+    baseline[name] = family == nullptr ? 0 : family->value();
+  }
+  obs::TimeSeriesStore store(metrics);
+  for (const std::string& name : counters) store.TrackCounter(name);
+  std::vector<obs::SloSpec> specs;
+  std::string error;
+  TRAJKIT_CHECK(obs::ParseSloSpecs(
+      "cap:type=ratio,bad=serve.sessions.evicted_cap,"
+      "total=serve.sessions.segments_emitted,budget=0.05,fast=2,slow=4",
+      &specs, &error))
+      << error;
+  obs::SloEngine slo(&store, &metrics, specs);
+
+  ReplayRun run;
+  {
+    ServingPlaneOptions plane_options = ConcurrencyPlaneOptions(shards);
+    plane_options.batching.shadow_evaluator = &trainer.evaluator();
+    ServingPlane plane(&registry, plane_options);
+    plane.set_closed_sink([&run](const ClosedSegment& segment) {
+      run.sink.emplace_back(segment.session_id, segment.start_time,
+                            static_cast<int>(segment.reason),
+                            segment.num_points, segment.trace_id,
+                            obs::RequestTracer::Global().Sampled(
+                                segment.trace_id));
+    });
+    ReplayOptions options;
+    options.trainer = &trainer;
+    options.evict_every_points = kEvictEveryPoints;
+    options.tick_every_segments = 8;
+    uint64_t tick_index = 0;
+    options.tick = [&] {
+      store.Tick(static_cast<double>(tick_index));
+      slo.Evaluate(tick_index);
+      ++tick_index;
+      std::string line;
+      for (const std::string& name : counters) {
+        line += name + "=" +
+                std::to_string(metrics.FindCounter(name)->value() -
+                               baseline[name]) +
+                " ";
+      }
+      line += "active=" +
+              std::to_string(metrics.FindGauge("serve.sessions.active")
+                                 ->value());
+      run.series.push_back(line);
+    };
+    options.closed_sink = [&run](const ClosedSegment& segment,
+                                 int predicted_class) {
+      run.scored.emplace_back(segment.user_id, segment.start_time,
+                              predicted_class);
+    };
+    Result<ReplayReport> report =
+        ReplayCorpus(fixture.corpus, fixture.labels, plane, options);
+    TRAJKIT_CHECK(report.ok()) << report.status().ToString();
+    run.report = std::move(report).value();
+  }
+  run.slo_log = slo.transition_log();
+  run.training = trainer.stats();
+  obs::RequestTracer::Global().Reset();
+  SetMaxThreads(prior_threads);
+  return run;
+}
+
+void ExpectSameReplay(const ReplayRun& a, const ReplayRun& b) {
+  const ReplayReport& x = a.report;
+  const ReplayReport& y = b.report;
+  EXPECT_EQ(x.points, y.points);
+  EXPECT_EQ(x.segments_closed, y.segments_closed);
+  EXPECT_EQ(x.segments_evaluated, y.segments_evaluated);
+  EXPECT_EQ(x.segments_outside_label_set, y.segments_outside_label_set);
+  EXPECT_EQ(x.correct, y.correct);
+  EXPECT_EQ(x.deadline_exceeded, y.deadline_exceeded);
+  EXPECT_EQ(x.shed, y.shed);
+  EXPECT_EQ(x.degraded, y.degraded);
+  EXPECT_EQ(x.retries, y.retries);
+  EXPECT_EQ(x.y_true, y.y_true);
+  EXPECT_EQ(x.y_pred, y.y_pred);
+  EXPECT_TRUE(x.session_stats == y.session_stats);
+  EXPECT_EQ(a.sink, b.sink);
+  EXPECT_EQ(a.scored, b.scored);
+  EXPECT_EQ(a.series, b.series);
+  EXPECT_EQ(a.slo_log, b.slo_log);
+  EXPECT_EQ(a.training.steps, b.training.steps);
+  EXPECT_EQ(a.training.refits_completed, b.training.refits_completed);
+  EXPECT_EQ(a.training.shadows_installed, b.training.shadows_installed);
+  EXPECT_EQ(a.training.promotions, b.training.promotions);
+}
+
+// The serial plane API's close order for the same corpus and eviction
+// cadence: what the replay's commit order must reproduce.
+std::vector<std::tuple<int64_t, double, int, size_t>> SerialCloseOrder(
+    size_t shards) {
+  const ShardFixture& fixture = ShardFixture::Get();
+  ModelRegistry registry;
+  ServingPlane plane(&registry, ConcurrencyPlaneOptions(shards));
+  std::vector<std::pair<double, std::pair<size_t, size_t>>> order;
+  for (size_t t = 0; t < fixture.corpus.size(); ++t) {
+    for (size_t p = 0; p < fixture.corpus[t].points.size(); ++p) {
+      order.push_back({fixture.corpus[t].points[p].timestamp, {t, p}});
+    }
+  }
+  // (timestamp, trajectory, point): ReplayCorpus's merge order.
+  std::stable_sort(order.begin(), order.end());
+  std::vector<ClosedSegment> closed;
+  size_t points = 0;
+  for (const auto& [timestamp, at] : order) {
+    const traj::Trajectory& trajectory = fixture.corpus[at.first];
+    plane.Ingest(trajectory.user_id, trajectory.points[at.second], &closed);
+    if (++points % kEvictEveryPoints == 0) plane.EvictIdle(timestamp, &closed);
+  }
+  plane.FlushAll(&closed);
+  std::vector<std::tuple<int64_t, double, int, size_t>> out;
+  for (const ClosedSegment& segment : closed) {
+    out.emplace_back(segment.session_id, segment.start_time,
+                     static_cast<int>(segment.reason), segment.num_points);
+  }
+  return out;
+}
+
+// ReplayCorpus runs shard steps on min(shards, threads) ingest workers
+// that may run chunks ahead of the driver's commit; with one worker the
+// same steps run inline. Every output — report, sink order, tick-sampled
+// series, SLO log, trace ids — must not tell the two apart, with every
+// barrier kind live: telemetry ticks, trainer steps, idle evictions, and
+// LRU cap evictions.
+TEST(ReplayConcurrencyTest, ConcurrentIngestMatchesInlineIngest) {
+  for (const size_t shards : {size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(shards);
+    const ReplayRun inline_run = RunConcurrentReplay(shards, /*threads=*/1);
+    const ReplayRun concurrent = RunConcurrentReplay(shards, /*threads=*/4);
+    ExpectSameReplay(inline_run, concurrent);
+
+    // Every barrier kind fired, so the comparison covers them.
+    EXPECT_GT(inline_run.series.size(), 2u);
+    EXPECT_GT(inline_run.report.session_stats.sessions_evicted_idle, 0u);
+    EXPECT_GE(inline_run.training.shadows_installed, 1u);
+    if (shards == 2) {
+      EXPECT_GT(inline_run.report.session_stats.sessions_evicted_cap, 0u);
+    }
+    // Trace ids are minted at commit: 1..n in sink order.
+    for (size_t i = 0; i < concurrent.sink.size(); ++i) {
+      EXPECT_EQ(std::get<4>(concurrent.sink[i]), i + 1);
+    }
+    // The commit order is the serial plane API's close order.
+    const auto serial = SerialCloseOrder(shards);
+    ASSERT_EQ(serial.size(), concurrent.sink.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      const auto& [session, start, reason, points, trace, sampled] =
+          concurrent.sink[i];
+      EXPECT_EQ(serial[i], std::make_tuple(session, start, reason, points))
+          << i;
+    }
+  }
 }
 
 }  // namespace

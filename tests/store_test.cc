@@ -297,7 +297,7 @@ TEST(TrajectoryStoreTest, SessionSinkIngestsClosedSegmentsWithBbox) {
   session_options.segmentation.min_points = 2;
   serve::SessionManager sessions(session_options);
   TrajectoryStore store;
-  sessions.set_closed_sink(store.MakeSessionSink());
+  const auto sink = store.MakeSessionSink();
 
   std::vector<serve::ClosedSegment> closed;
   traj::TrajectoryPoint point;
@@ -308,6 +308,7 @@ TEST(TrajectoryStoreTest, SessionSinkIngestsClosedSegmentsWithBbox) {
     sessions.Ingest(7, point, &closed);
   }
   sessions.FlushAll(&closed);
+  for (const serve::ClosedSegment& segment : closed) sink(segment);
   ASSERT_EQ(closed.size(), 1u);
   EXPECT_TRUE(closed[0].bbox.IsInitialized());
   EXPECT_DOUBLE_EQ(closed[0].bbox.min_lat, 39.9);

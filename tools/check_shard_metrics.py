@@ -3,9 +3,13 @@
 
 Usage:
     tools/check_shard_metrics.py BASELINE.json SHARDED.json [SHARDED.json ...]
+    tools/check_shard_metrics.py --same_shards BASELINE.json OTHER.json [...]
 
 BASELINE.json is the --shards=1 run; each SHARDED.json is the same replay
-at a different shard count. A sharded component writes each counter as
+at a different shard count. With --same_shards, every file is the same
+replay at one shard count (at different thread counts, say): then each
+deterministic series must match label by label, not just in its family's
+sum, and property 2 below does not apply. A sharded component writes each counter as
 its own `name{shard="i"}` series, so a metric's value is the sum of its
 family's series. Two properties are enforced:
 
@@ -46,8 +50,9 @@ DETERMINISTIC_PREFIXES = (
 SERIES_RE = re.compile(r'^(?P<name>[^{]+)(?:\{shard="(?P<shard>\d+)"\})?$')
 
 
-def load(path):
-    """(family sums, shard labels, info) of one metrics JSON dump."""
+def load(path, same_shards=False):
+    """(family sums, shard labels, info) of one metrics JSON dump; with
+    same_shards, each series is its own family."""
     with open(path) as f:
         doc = json.load(f)
     families = {}
@@ -56,7 +61,7 @@ def load(path):
         match = SERIES_RE.match(key)
         if match is None:
             sys.exit(f"{path}: unparsable counter key {key!r}")
-        name = match.group("name")
+        name = key if same_shards else match.group("name")
         families[name] = families.get(name, 0) + value
         if match.group("shard") is not None:
             shards.add(int(match.group("shard")))
@@ -70,12 +75,15 @@ def deterministic_view(families):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--same_shards", action="store_true",
+                        help="all files ran at one shard count: compare "
+                        "every deterministic series label by label")
     parser.add_argument("baseline", help="metrics JSON of the --shards=1 run")
     parser.add_argument("sharded", nargs="+",
                         help="metrics JSONs of the sharded runs")
     args = parser.parse_args()
 
-    base_families, _, base_info = load(args.baseline)
+    base_families, _, base_info = load(args.baseline, args.same_shards)
     base_view = deterministic_view(base_families)
     if not base_view:
         sys.exit(f"{args.baseline}: no deterministic serve counters found "
@@ -83,7 +91,7 @@ def main():
 
     failures = []
     for path in args.sharded:
-        families, shards, info = load(path)
+        families, shards, info = load(path, args.same_shards)
 
         # Property 1: deterministic family sums equal.
         view = deterministic_view(families)
@@ -102,7 +110,7 @@ def main():
                 f"{base_version!r}")
 
         # Property 2: the run really was sharded.
-        if len(shards) < 2:
+        if not args.same_shards and len(shards) < 2:
             failures.append(f"{path}: series of {len(shards)} shard "
                             "label(s), want >= 2 (was this run actually "
                             "sharded?)")
@@ -113,9 +121,14 @@ def main():
             print(f"  {failure}", file=sys.stderr)
         return 1
 
-    print(f"shard-determinism gate: {len(base_view)} deterministic counter "
-          f"families sum identically across {1 + len(args.sharded)} runs; "
-          "every sharded run spans >= 2 shard labels")
+    if args.same_shards:
+        print(f"shard-determinism gate: {len(base_view)} deterministic "
+              f"counter series match across {1 + len(args.sharded)} runs")
+    else:
+        print(f"shard-determinism gate: {len(base_view)} deterministic "
+              f"counter families sum identically across "
+              f"{1 + len(args.sharded)} runs; every sharded run spans >= 2 "
+              "shard labels")
     return 0
 
 

@@ -5,9 +5,10 @@
 #      benchmark self-test (perfbench/selftest.py: every workload tiny,
 #      plain and traced, with its output checks), so a library change that
 #      breaks the benchmark's build or its output checks fails here
-#   2. shard determinism: the same replay corpus at --shards=1/2/8 must
-#      produce byte-identical predictions, lifecycle accounting, and
-#      deterministic metrics (tools/check_shard_metrics.py)
+#   2. shard determinism: the same replay corpus at --shards=1/2/8, each at
+#      --threads=1/4 (serial and concurrent ingest), must produce
+#      byte-identical predictions, lifecycle accounting, and deterministic
+#      metrics (tools/check_shard_metrics.py)
 #   3. continuous-training determinism: the same replay with
 #      --continuous_training at t1/t8 × s1/s2/s8 must be byte-identical
 #      (predictions + lifecycle + training lines + deterministic
@@ -76,11 +77,14 @@ echo "==> tier-1: benchmark self-test"
 python3 perfbench/selftest.py
 
 # Shard-determinism matrix: the sharding refactor must be invisible to
-# the replayed workload. One corpus, one model, three shard counts —
-# the per-segment predictions CSV and the lifecycle accounting line must
-# be byte-identical, and each deterministic counter family must sum, over
-# its shard-labelled series, to the shards=1 value.
-echo "==> shard determinism: serve-replay at --shards=1/2/8"
+# the replayed workload. One corpus, one model, three shard counts, each
+# at --threads=1 (ingest inline on the driver) and --threads=4 (ingest on
+# min(shards, 4) workers) — the per-segment predictions CSV and the
+# lifecycle accounting line must be byte-identical across all six runs,
+# each deterministic counter family must sum, over its shard-labelled
+# series, to the shards=1 value, and at one shard count every series must
+# match across the thread counts.
+echo "==> shard determinism: serve-replay at --shards=1/2/8 x --threads=1/4"
 SHARD_OUT="$BUILD_DIR/shard-determinism"
 mkdir -p "$SHARD_OUT"
 "$BUILD_DIR"/tools/trajkit features --users=6 --days=2 --seed=42 \
@@ -88,27 +92,35 @@ mkdir -p "$SHARD_OUT"
 "$BUILD_DIR"/tools/trajkit train --dataset="$SHARD_OUT/features.csv" \
   --trees=15 --model="$SHARD_OUT/rf.model" >/dev/null
 for shards in 1 2 8; do
-  "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
-    --model="$SHARD_OUT/rf.model" --shards="$shards" \
-    --predictions_out="$SHARD_OUT/predictions_s$shards.csv" \
-    --metrics_json="$SHARD_OUT/metrics_s$shards.json" \
-    > "$SHARD_OUT/replay_s$shards.log"
-  grep '^lifecycle:' "$SHARD_OUT/replay_s$shards.log" \
-    > "$SHARD_OUT/lifecycle_s$shards.txt"
+  for threads in 1 4; do
+    tag="t${threads}_s${shards}"
+    "$BUILD_DIR"/tools/trajkit serve-replay --users=6 --days=2 --seed=42 \
+      --model="$SHARD_OUT/rf.model" --shards="$shards" --threads="$threads" \
+      --predictions_out="$SHARD_OUT/predictions_$tag.csv" \
+      --metrics_json="$SHARD_OUT/metrics_$tag.json" \
+      > "$SHARD_OUT/replay_$tag.log"
+    grep '^lifecycle:' "$SHARD_OUT/replay_$tag.log" \
+      > "$SHARD_OUT/lifecycle_$tag.txt"
+  done
 done
-for shards in 2 8; do
-  cmp "$SHARD_OUT/predictions_s1.csv" \
-      "$SHARD_OUT/predictions_s$shards.csv" || {
-    echo "shard determinism: predictions diverge at --shards=$shards" >&2
+for tag in t4_s1 t1_s2 t4_s2 t1_s8 t4_s8; do
+  cmp "$SHARD_OUT/predictions_t1_s1.csv" \
+      "$SHARD_OUT/predictions_$tag.csv" || {
+    echo "shard determinism: predictions diverge at $tag" >&2
     exit 1
   }
-  diff "$SHARD_OUT/lifecycle_s1.txt" "$SHARD_OUT/lifecycle_s$shards.txt" || {
-    echo "shard determinism: lifecycle accounting diverges at --shards=$shards" >&2
+  diff "$SHARD_OUT/lifecycle_t1_s1.txt" "$SHARD_OUT/lifecycle_$tag.txt" || {
+    echo "shard determinism: lifecycle accounting diverges at $tag" >&2
     exit 1
   }
 done
-python3 tools/check_shard_metrics.py "$SHARD_OUT/metrics_s1.json" \
-  "$SHARD_OUT/metrics_s2.json" "$SHARD_OUT/metrics_s8.json"
+python3 tools/check_shard_metrics.py "$SHARD_OUT/metrics_t1_s1.json" \
+  "$SHARD_OUT/metrics_t1_s2.json" "$SHARD_OUT/metrics_t4_s2.json" \
+  "$SHARD_OUT/metrics_t1_s8.json" "$SHARD_OUT/metrics_t4_s8.json"
+for shards in 1 2 8; do
+  python3 tools/check_shard_metrics.py --same_shards \
+    "$SHARD_OUT/metrics_t1_s$shards.json" "$SHARD_OUT/metrics_t4_s$shards.json"
+done
 
 # Continuous-training determinism matrix: with the refit/shadow/promotion
 # loop live (--continuous_training), the replay must STILL be
