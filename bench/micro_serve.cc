@@ -2,8 +2,9 @@
 //
 // Phase A sweeps the ServingPlane over --shards_list (default 1,8): the
 // point stream is partitioned by the plane's hash(user_id) routing and one
-// writer thread per shard drives SessionManager +
-// StreamingFeatureExtractor concurrently — shard-per-core ingest scaling
+// writer thread per shard drives the plane's Ingest (SessionManager +
+// StreamingFeatureExtractor, and the commit that publishes the shard's
+// serve.sessions.* series) concurrently — shard-per-core ingest scaling
 // (ingest_t<S>_s; S=1 is the pre-shard single-writer baseline).
 // --require_shard_scaling=R additionally fails the run unless the largest
 // shard count ingests >= R times the shards=1 rate (CI passes it only on
@@ -191,8 +192,8 @@ int Main(int argc, char** argv) {
               num_requests);
 
   // Phase A: sharded ingest scaling. One writer thread per shard drives
-  // its shard's SessionManager — the single-writer-per-shard contract —
-  // over the plane's own hash(user_id) partition of the corpus.
+  // the plane's Ingest — the single-writer-per-shard contract — over the
+  // plane's own hash(user_id) partition of the corpus.
   std::printf("%8s %12s %9s\n", "shards", "ingest/s", "speedup");
   double shard1_rate = 0.0;
   double max_shards_rate = 0.0;
@@ -213,10 +214,9 @@ int Main(int argc, char** argv) {
       for (size_t s = 0; s < plane.num_shards(); ++s) {
         writers.emplace_back([&plane, &partition, s] {
           std::vector<serve::ClosedSegment> closed;
-          serve::SessionManager& sessions = plane.sessions(s);
           for (const traj::Trajectory* trajectory : partition[s]) {
             for (const traj::TrajectoryPoint& point : trajectory->points) {
-              sessions.Ingest(trajectory->user_id, point, &closed);
+              plane.Ingest(trajectory->user_id, point, &closed);
             }
           }
         });

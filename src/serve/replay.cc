@@ -1,18 +1,10 @@
 #include "serve/replay.h"
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 #include <algorithm>
-#include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <utility>
 
 #include "common/parallel.h"
@@ -27,10 +19,8 @@ namespace {
 /// Seed of the jitter stream that paces a replay's resubmission rounds.
 constexpr uint64_t kRetrySeed = 0x72657472790aULL;
 
-/// Merged points per chunk the driver hands the ingest workers, and how
-/// many chunks the workers may run ahead of the commit step.
-constexpr size_t kChunkPoints = 4096;
-constexpr size_t kChunksAhead = 4;
+/// Merged points per chunk the driver hands the ingest workers.
+constexpr size_t kChunkPoints = 16384;
 
 /// A cursor into one trajectory, ordered by its current point's timestamp
 /// (earliest first; ties broken by trajectory index for determinism).
@@ -76,7 +66,6 @@ struct Chunk {
   std::vector<uint32_t> shard_of;
   std::vector<std::vector<Op>> ops;          // Per worker, in seq order.
   std::vector<std::vector<Record>> records;  // Per worker, in seq order.
-  size_t pending = 0;  // Workers yet to run it; guarded by IngestWorkers::mu_.
 };
 
 /// The shard step of one worker's slice of a chunk. Worker `w` of `n` owns
@@ -99,165 +88,6 @@ void RunOps(ServingPlane& plane, size_t worker, size_t workers,
     }
   }
 }
-
-/// Returns free heap pages to the system. The ingest workers allocate the
-/// shards' session buffers from their own malloc arenas, which cannot
-/// reuse what the driver's arena holds free, nor the driver theirs; a trim
-/// before the replay and after its final flush keeps the two from
-/// stacking up (without it, peak RSS over repeated GeoLife-scale replays
-/// read 10-20% above the serial loop's).
-void ReleaseFreeMemory() {
-#ifdef __GLIBC__
-  malloc_trim(0);
-#endif
-}
-
-/// Ingest threads kept for the life of the process and lent to one replay
-/// at a time. A thread keeps its malloc arena for life, so each replay's
-/// session buffers land in the arenas the last replay's used; threads
-/// started per replay took over other threads' arenas instead, and ran
-/// slower and larger.
-class IngestThreads {
- public:
-  static IngestThreads& Global() {
-    static IngestThreads* threads = new IngestThreads();  // Leaked, like
-    return *threads;  // the shared pool: idle threads outlive main().
-  }
-
-  /// Runs body(w) for every w in [0, n) on threads of the team. Blocks
-  /// while another replay holds the team.
-  void Start(size_t n, std::function<void(size_t)> body) {
-    use_.lock();
-    std::lock_guard<std::mutex> lock(mu_);
-    while (threads_.size() < n) {
-      threads_.emplace_back(
-          [this, w = threads_.size(), seen = generation_] { Loop(w, seen); });
-    }
-    body_ = std::move(body);
-    active_ = n;
-    running_ = n;
-    ++generation_;
-    start_cv_.notify_all();
-  }
-
-  /// Waits until every body started by Start has returned.
-  void Join() {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return running_ == 0; });
-      body_ = nullptr;
-    }
-    use_.unlock();
-  }
-
- private:
-  void Loop(size_t worker, uint64_t seen) {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return generation_ != seen; });
-        seen = generation_;
-        if (worker >= active_) continue;
-      }
-      body_(worker);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--running_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  std::mutex use_;  // Held from Start to Join.
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> threads_;
-  std::function<void(size_t)> body_;  // Guarded by mu_ between runs.
-  size_t active_ = 0;
-  size_t running_ = 0;
-  uint64_t generation_ = 0;
-};
-
-/// The ingest workers and the ring of chunks they share with the driver.
-/// With one worker no thread is started: Dispatch runs the chunk inline.
-class IngestWorkers {
- public:
-  IngestWorkers(ServingPlane& plane, size_t workers)
-      : plane_(plane), workers_(workers) {
-    for (Chunk& chunk : ring_) {
-      chunk.ops.resize(workers);
-      chunk.records.resize(workers);
-    }
-    if (workers == 1) return;
-    IngestThreads::Global().Start(workers, [this](size_t w) { Loop(w); });
-  }
-
-  ~IngestWorkers() {
-    if (workers_ == 1) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    work_cv_.notify_all();
-    IngestThreads::Global().Join();
-  }
-
-  IngestWorkers(const IngestWorkers&) = delete;
-  IngestWorkers& operator=(const IngestWorkers&) = delete;
-
-  size_t size() const { return workers_; }
-
-  /// The ring slot of chunk `index`; the driver fills it, then Dispatches.
-  Chunk& Slot(size_t index) { return ring_[index % kChunksAhead]; }
-
-  /// Hands chunk `index` to the workers. Precondition: chunk
-  /// index - kChunksAhead has been awaited.
-  void Dispatch(size_t index) {
-    Chunk& chunk = Slot(index);
-    if (workers_ == 1) {
-      RunOps(plane_, 0, 1, chunk.ops[0], &chunk.records[0]);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      chunk.pending = workers_;
-      dispatched_ = index + 1;
-    }
-    work_cv_.notify_all();
-  }
-
-  /// Blocks until every worker has run chunk `index`.
-  Chunk& Await(size_t index) {
-    Chunk& chunk = Slot(index);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&chunk] { return chunk.pending == 0; });
-    return chunk;
-  }
-
- private:
-  void Loop(size_t worker) {
-    for (size_t next = 0;; ++next) {
-      Chunk* chunk = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return stop_ || next < dispatched_; });
-        if (stop_) return;
-        chunk = &Slot(next);
-      }
-      RunOps(plane_, worker, workers_, chunk->ops[worker],
-             &chunk->records[worker]);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--chunk->pending == 0) done_cv_.notify_one();
-    }
-  }
-
-  ServingPlane& plane_;
-  const size_t workers_;
-  std::array<Chunk, kChunksAhead> ring_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  size_t dispatched_ = 0;  // Guarded by mu_.
-  bool stop_ = false;      // Guarded by mu_.
-};
 
 }  // namespace
 
@@ -457,13 +287,16 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
     return Status::Ok();
   };
 
-  // Fills a chunk from the merge: each point goes to the worker owning its
+  // Fills the chunk from the merge: each point goes to the worker owning its
   // shard, and an eviction (every evict_every_points points, against the
   // event time of the point just merged) to every worker.
-  IngestWorkers workers(
-      plane, std::min(plane.num_shards(), static_cast<size_t>(MaxThreads())));
+  const size_t workers =
+      std::min(plane.num_shards(), static_cast<size_t>(MaxThreads()));
+  Chunk chunk;
+  chunk.ops.resize(workers);
+  chunk.records.resize(workers);
   uint64_t seq = 0;
-  const auto fill = [&](Chunk& chunk) {
+  const auto fill = [&] {
     chunk.first_seq = seq;
     chunk.shard_of.clear();
     for (std::vector<Op>& ops : chunk.ops) ops.clear();
@@ -473,7 +306,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
       const traj::Trajectory& trajectory = corpus[cursor.trajectory];
       const traj::TrajectoryPoint& point = trajectory.points[cursor.point];
       const uint32_t shard = shard_of_trajectory[cursor.trajectory];
-      chunk.ops[shard % workers.size()].push_back(
+      chunk.ops[shard % workers].push_back(
           {seq, &point, trajectory.user_id, false});
       chunk.shard_of.push_back(shard);
       ++seq;
@@ -497,7 +330,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
   // serve.sessions.* series holds its serial value at each barrier.
   std::vector<size_t> uncounted(plane.num_shards(), 0);
   std::vector<ShardStep> group;
-  const auto commit = [&](Chunk& chunk) -> Status {
+  const auto commit = [&]() -> Status {
     uint64_t counted = chunk.first_seq;
     const auto count_points_through = [&](uint64_t end) {
       for (; counted < end; ++counted) {
@@ -508,10 +341,10 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
         uncounted[s] = 0;
       }
     };
-    std::vector<size_t> head(workers.size(), 0);
+    std::vector<size_t> head(workers, 0);
     for (;;) {
       uint64_t next = UINT64_MAX;
-      for (size_t w = 0; w < workers.size(); ++w) {
+      for (size_t w = 0; w < workers; ++w) {
         if (head[w] < chunk.records[w].size()) {
           next = std::min(next, chunk.records[w][head[w]].seq);
         }
@@ -520,7 +353,7 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
       count_points_through(next + 1);
       for (const Phase phase : {Phase::kIngest, Phase::kEvict}) {
         group.clear();
-        for (size_t w = 0; w < workers.size(); ++w) {
+        for (size_t w = 0; w < workers; ++w) {
           std::vector<Record>& records = chunk.records[w];
           for (; head[w] < records.size() && records[head[w]].seq == next &&
                  records[head[w]].phase == phase;
@@ -538,22 +371,19 @@ Result<ReplayReport> ReplayCorpus(const std::vector<traj::Trajectory>& corpus,
     return Status::Ok();
   };
 
-  if (workers.size() > 1) ReleaseFreeMemory();
+  // Each chunk: merge on the driver, shard steps on the workers (the
+  // driver is one of them), commit on the driver.
+  const std::function<void(size_t)> run_ops = [&](size_t w) {
+    RunOps(plane, w, workers, chunk.ops[w], &chunk.records[w]);
+  };
   Stopwatch ingest_timer;
-  size_t dispatched = 0;
-  size_t committed = 0;
-  while (!merge.empty() || committed < dispatched) {
-    if (!merge.empty() && dispatched - committed < kChunksAhead) {
-      fill(workers.Slot(dispatched));
-      workers.Dispatch(dispatched++);
-      continue;
-    }
-    TRAJKIT_RETURN_IF_ERROR(commit(workers.Await(committed++)));
+  while (!merge.empty()) {
+    fill();
+    TRAJKIT_RETURN_IF_ERROR(ParallelFor(0, workers, 1, run_ops));
+    TRAJKIT_RETURN_IF_ERROR(commit());
   }
   report.points = seq;
-  // Every chunk has been awaited: the driver is the only writer left.
   plane.FlushAll(&closed);
-  if (workers.size() > 1) ReleaseFreeMemory();
   submit_closed();
   report.ingest_seconds = ingest_timer.ElapsedSeconds();
 

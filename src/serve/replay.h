@@ -109,14 +109,14 @@ struct ReplayReport {
 /// fixes), so the session layer sees the same streams the offline
 /// segmenter reads.
 ///
-/// Shard steps run on min(plane.num_shards(), MaxThreads()) ingest
-/// workers, inline on the calling thread when that is one; the calling
-/// thread merges, and commits every step in (point, phase, session id)
+/// The calling thread merges the points in chunks; each chunk's shard
+/// steps run as min(plane.num_shards(), MaxThreads()) ingest workers on
+/// the shared pool (ParallelFor; inline when that is one), and the
+/// calling thread then commits every step in (point, phase, session id)
 /// order — the order the serial plane API produces — running the trainer
 /// and tick barriers after each point's commit (see ServingPlane). So the
 /// report, the sinks, the tick-sampled series and the trace ids are
-/// byte-identical at any shard and thread count. One replay at a time
-/// uses the workers; a concurrent call waits for them.
+/// byte-identical at any shard and thread count.
 ///
 /// Every submitted request is accounted for exactly once in the report:
 /// evaluated (possibly degraded), shed, or deadline-exceeded. Transient

@@ -97,6 +97,8 @@ struct ServingPlane::Shard {
   obs::Counter& evicted_cap;
   obs::Gauge& active;
   std::array<obs::Counter*, 7> closed_by_reason;
+  /// Ingest's step, reused so the per-fix path keeps its buffers.
+  ShardStep ingest_step;
 };
 
 ServingPlane::ServingPlane(const ModelRegistry* registry,
@@ -135,24 +137,12 @@ void ServingPlane::Step(size_t shard, ShardStep* step, Call call) {
 void ServingPlane::Ingest(int64_t user_id,
                           const traj::TrajectoryPoint& point,
                           std::vector<ClosedSegment>* closed) {
-  // IngestStep and Commit fused for the per-fix serial path: the closes go
-  // straight to `closed`, with no ShardStep in between.
-  Shard& shard = *shards_[ShardOf(user_id)];
-  const size_t first = closed->size();
-  const SessionManagerStats before = shard.sessions.stats();
-  shard.sessions.Ingest(user_id, point, closed);
-  SessionManagerStats delta = shard.sessions.stats();
-  delta -= before;
-  const size_t open_sessions = shard.sessions.num_open_sessions();
-  if (delta == kOnePoint) {
-    shard.points.Increment();
-    shard.active.Set(static_cast<double>(open_sessions));
+  ShardStep& step = shards_[ShardOf(user_id)]->ingest_step;
+  if (!IngestStep(user_id, point, &step)) {
+    CommitPoints(step.shard, 1);
     return;
   }
-  shard.Publish(delta, open_sessions,
-                {closed->begin() + static_cast<ptrdiff_t>(first),
-                 closed->end()});
-  Announce(closed, first);
+  Commit({&step, 1}, closed);
 }
 
 void ServingPlane::EvictIdle(double now,

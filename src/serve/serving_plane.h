@@ -80,7 +80,10 @@ struct ShardStep {
 ///    shard queue) it lands in, per the BatchPredictor contract.
 ///
 /// Thread safety: each shard is single-writer for its steps (and so for
-/// Ingest/EvictIdle/FlushAll); commits come from one thread at a time;
+/// Ingest/EvictIdle/FlushAll). Ingest on different shards may run on
+/// different threads concurrently: its commit touches only its shard's
+/// series, the tracer, and the closed sink (which must then tolerate
+/// concurrent calls). Other commits come from one thread at a time.
 /// Submit is safe from any thread.
 class ServingPlane {
  public:

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -573,6 +574,35 @@ struct ReplayRun {
 
 constexpr size_t kEvictEveryPoints = 97;
 constexpr size_t kMaxSessionsPerShard = 1;
+/// More points than one of ReplayCorpus's 16,384-point chunks, so the
+/// commit crosses a chunk boundary.
+constexpr size_t kMinReplayPoints = 16384 + 1;
+
+/// The fixture corpus twice — the copy's users renumbered and its days
+/// moved past the original's, so it replays after it: about 29k points,
+/// two of ReplayCorpus's chunks.
+const std::vector<traj::Trajectory>& ReplayTestCorpus() {
+  static const std::vector<traj::Trajectory>* corpus = [] {
+    const std::vector<traj::Trajectory>& original = ShardFixture::Get().corpus;
+    double last = 0.0;
+    for (const traj::Trajectory& trajectory : original) {
+      for (const traj::TrajectoryPoint& point : trajectory.points) {
+        last = std::max(last, point.timestamp);
+      }
+    }
+    const double shift = 86400.0 * (std::floor(last / 86400.0) + 1.0);
+    auto* out = new std::vector<traj::Trajectory>(original);
+    for (const traj::Trajectory& trajectory : original) {
+      out->push_back(trajectory);
+      out->back().user_id += 1000;
+      for (traj::TrajectoryPoint& point : out->back().points) {
+        point.timestamp += shift;
+      }
+    }
+    return out;
+  }();
+  return *corpus;
+}
 
 ServingPlaneOptions ConcurrencyPlaneOptions(size_t shards) {
   ServingPlaneOptions options;
@@ -663,7 +693,7 @@ ReplayRun RunConcurrentReplay(size_t shards, int threads) {
                               predicted_class);
     };
     Result<ReplayReport> report =
-        ReplayCorpus(fixture.corpus, fixture.labels, plane, options);
+        ReplayCorpus(ReplayTestCorpus(), fixture.labels, plane, options);
     TRAJKIT_CHECK(report.ok()) << report.status().ToString();
     run.report = std::move(report).value();
   }
@@ -703,13 +733,13 @@ void ExpectSameReplay(const ReplayRun& a, const ReplayRun& b) {
 // cadence: what the replay's commit order must reproduce.
 std::vector<std::tuple<int64_t, double, int, size_t>> SerialCloseOrder(
     size_t shards) {
-  const ShardFixture& fixture = ShardFixture::Get();
+  const std::vector<traj::Trajectory>& corpus = ReplayTestCorpus();
   ModelRegistry registry;
   ServingPlane plane(&registry, ConcurrencyPlaneOptions(shards));
   std::vector<std::pair<double, std::pair<size_t, size_t>>> order;
-  for (size_t t = 0; t < fixture.corpus.size(); ++t) {
-    for (size_t p = 0; p < fixture.corpus[t].points.size(); ++p) {
-      order.push_back({fixture.corpus[t].points[p].timestamp, {t, p}});
+  for (size_t t = 0; t < corpus.size(); ++t) {
+    for (size_t p = 0; p < corpus[t].points.size(); ++p) {
+      order.push_back({corpus[t].points[p].timestamp, {t, p}});
     }
   }
   // (timestamp, trajectory, point): ReplayCorpus's merge order.
@@ -717,7 +747,7 @@ std::vector<std::tuple<int64_t, double, int, size_t>> SerialCloseOrder(
   std::vector<ClosedSegment> closed;
   size_t points = 0;
   for (const auto& [timestamp, at] : order) {
-    const traj::Trajectory& trajectory = fixture.corpus[at.first];
+    const traj::Trajectory& trajectory = corpus[at.first];
     plane.Ingest(trajectory.user_id, trajectory.points[at.second], &closed);
     if (++points % kEvictEveryPoints == 0) plane.EvictIdle(timestamp, &closed);
   }
@@ -730,9 +760,9 @@ std::vector<std::tuple<int64_t, double, int, size_t>> SerialCloseOrder(
   return out;
 }
 
-// ReplayCorpus runs shard steps on min(shards, threads) ingest workers
-// that may run chunks ahead of the driver's commit; with one worker the
-// same steps run inline. Every output — report, sink order, tick-sampled
+// ReplayCorpus runs each chunk's shard steps on min(shards, threads)
+// ingest workers ahead of the driver's commit; with one worker the same
+// steps run inline. Every output — report, sink order, tick-sampled
 // series, SLO log, trace ids — must not tell the two apart, with every
 // barrier kind live: telemetry ticks, trainer steps, idle evictions, and
 // LRU cap evictions.
@@ -743,7 +773,15 @@ TEST(ReplayConcurrencyTest, ConcurrentIngestMatchesInlineIngest) {
     const ReplayRun concurrent = RunConcurrentReplay(shards, /*threads=*/4);
     ExpectSameReplay(inline_run, concurrent);
 
-    // Every barrier kind fired, so the comparison covers them.
+    // Every barrier kind fired and the commit crossed a chunk boundary,
+    // so the comparison covers them.
+    EXPECT_GE(inline_run.report.points, kMinReplayPoints);
+    // Every point is published once, the chunk's tail included: the final
+    // tick's first series is points_ingested.
+    const std::string& last = inline_run.series.back();
+    EXPECT_EQ(last.substr(0, last.find(' ')),
+              "serve.sessions.points_ingested=" +
+                  std::to_string(inline_run.report.points));
     EXPECT_GT(inline_run.series.size(), 2u);
     EXPECT_GT(inline_run.report.session_stats.sessions_evicted_idle, 0u);
     EXPECT_GE(inline_run.training.shadows_installed, 1u);
